@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import nsmallest
 from typing import Sequence
 
 from .dag import Dag, Transaction, Vertex, make_vertex
@@ -71,7 +72,7 @@ def _max_union_pair(dag: Dag, pool: Sequence[bytes]) -> tuple[bytes, bytes]:
     """
     ordered = sorted(pool)
     n = len(ordered)
-    masks = [dag.cover_mask((t,)) for t in ordered]
+    masks = dag.tip_masks(ordered)
     pops = [m.bit_count() for m in masks]
     anchor = max(range(n), key=lambda i: pops[i])
     anchor_mask, anchor_pop = masks[anchor], pops[anchor]
@@ -97,15 +98,15 @@ def _max_union_pair(dag: Dag, pool: Sequence[bytes]) -> tuple[bytes, bytes]:
 
     # Lex pass: first ascending-id pair achieving the maximum.  A pair
     # reaching ``best`` needs both its cardinality sum and its anchored
-    # bound at the maximum, which rules out almost every candidate.
+    # bound at the maximum, so both ends pass these per-index bounds,
+    # which rule out almost every candidate.
     excl = [ui - anchor_pop for ui in u]
     need = best - anchor_pop
     pop_top = max(pops)
     excl_top = max(excl)
-    for i in range(n - 1):
-        if pops[i] + pop_top < best or excl[i] + excl_top < need:
-            continue
-        for j in range(i + 1, n):
+    viable = [k for k in range(n) if pops[k] + pop_top >= best and excl[k] + excl_top >= need]
+    for vi, i in enumerate(viable):
+        for j in viable[vi + 1:]:
             if pops[i] + pops[j] < best or excl[i] + excl[j] < need:
                 continue
             if (masks[i] | masks[j]).bit_count() == best:
@@ -151,11 +152,7 @@ def select_parents(
         return _random_pair(pool, rng)
 
     # greedy: maximise each link separately, ties by ascending id
-    first = min(pool, key=lambda t: (-dag.cover_cardinality((t,)), t))
-    second = min(
-        (t for t in pool if t != first),
-        key=lambda t: (-dag.cover_cardinality((t,)), t),
-    )
+    (_, first), (_, second) = nsmallest(2, zip([-m.bit_count() for m in dag.tip_masks(pool)], pool))
     return first, second
 
 

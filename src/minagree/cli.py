@@ -263,8 +263,10 @@ def _parse_depths(text: str) -> list[int]:
             if not part:
                 continue
             if "-" in part:
-                lo, hi = part.split("-", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(end) for end in part.split("-", 1))
+                if lo > hi:
+                    raise ConfigInvalid(f"reversed depth range {part!r} in {text!r}")
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(part))
     except ValueError as exc:

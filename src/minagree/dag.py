@@ -241,20 +241,20 @@ class Dag:
     def cover_cardinality(self, roots) -> int:
         return self._roots_mask(roots).bit_count()
 
+    def tip_masks(self, tips) -> list[int]:
+        """:meth:`cover_mask` of each vertex on its own, in the given order.
+
+        Boundary markers give 0; an unknown id raises :class:`UnknownVertex`.
+        """
+        masks = self._mask
+        return [masks[t] if t in masks else self._roots_mask((t,)) for t in tips]
+
     def vertices_containing(self, tx_hash: bytes) -> list[bytes]:
         """Active vertices listing the transaction, ascending by id."""
         mask = self._tx_mask.get(tx_hash, 0)
         if not mask:
             raise UnknownTransaction(f"transaction {tx_hash.hex()} not in any active vertex")
         return sorted(self._decode_mask(mask))
-
-    def covered_transactions(self, roots) -> set[bytes]:
-        """All transaction hashes contained in the cover set of ``roots``."""
-        mask = self._roots_mask(roots)
-        found = set()
-        for vid in self._decode_mask(mask):
-            found.update(self.vertices[vid].tx_hashes)
-        return found
 
     def transaction_in_mask(self, tx_hash: bytes, cover_mask: int) -> bool:
         """Whether any vertex in the bitmask region lists the transaction."""

@@ -19,7 +19,6 @@ sensitivity runs around these defaults.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import statistics
 import time
@@ -34,6 +33,8 @@ from .dag import (
     VERTEX_OVERHEAD_BYTES,
     Dag,
     Transaction,
+    _be8,
+    _sha256,
     make_vertex,
 )
 from .errors import ConfigInvalid
@@ -60,17 +61,6 @@ from .rounds import (
 
 FEE_GEOMETRIC_P = 0.125
 FEE_CAP = 64
-
-
-def _sha256(*parts: bytes) -> bytes:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.digest()
-
-
-def _be8(value: int) -> bytes:
-    return value.to_bytes(8, "big")
 
 
 def _geometric_fee(rng: random.Random) -> int:
@@ -583,7 +573,7 @@ def censorship_experiment(config: SimConfig, target_depths) -> list[CensorshipRo
     out = []
     for depth in depths:
         target = spine_txs[levels - 1 - depth]
-        soft_cost, _ = censorship_cost(dag, target, params, config.reward_policy, mode="soft")
-        _, feasible = censorship_cost(dag, target, params, config.reward_policy, mode="hard")
-        out.append(CensorshipRow(depth=depth, soft_cost=soft_cost, hard_feasible=feasible))
+        # the cost does not depend on the mode; hard mode adds feasibility
+        cost, feasible = censorship_cost(dag, target, params, config.reward_policy, mode="hard")
+        out.append(CensorshipRow(depth=depth, soft_cost=cost, hard_feasible=feasible))
     return out

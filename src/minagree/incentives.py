@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .dag import Dag
 from .errors import InvalidCounts, InvalidFraction
-from .rounds import censoring_tip_pool, greedy_min_cover
+from .rounds import censoring_tip_pool
 
 
 def _as_fraction(value) -> Fraction:
@@ -250,10 +250,9 @@ def collusion_profit(fee_f, epsilon, x) -> Fraction:
     return x * (fee_f - epsilon)
 
 
-def _coverage_excluding_genesis(dag: Dag, tips) -> int:
-    covered = dag.cover_set(tips)
-    covered.discard(dag.genesis_id)
-    return len(covered)
+def _coverage_excluding_genesis(dag: Dag, pool) -> int:
+    genesis_bit = dag.own_bit(dag.genesis_id) or 0
+    return (dag.cover_mask(pool) & ~genesis_bit).bit_count()
 
 
 def censorship_cost(
@@ -265,25 +264,21 @@ def censorship_cost(
 ) -> tuple[Fraction, bool]:
     """Reward forgone by the best proposal that excludes one transaction.
 
-    The censoring proposal greedily covers everything reachable without
-    touching any vertex that lists ``target_tx``.  Soft mode returns the
-    reward gap versus honest maximal coverage (always feasible); hard
-    mode additionally reports whether the censoring proposal clears the
-    minimum-coverage constraint.
+    The censoring proposal covers everything reachable from the eligible
+    tips whose cover avoids every vertex that lists ``target_tx``; the
+    honest one covers everything reachable from all eligible tips.  The
+    price depends only on each proposal's coverage, which is its pool's
+    reachable set (genesis excluded), so no set cover is built for it.
+    Soft mode returns the reward gap versus honest maximal coverage
+    (always feasible); hard mode additionally reports whether the
+    censoring proposal clears the minimum-coverage constraint.
     """
     if mode not in ("soft", "hard"):
         raise ValueError(f"unknown censorship mode {mode!r}")
     dag.vertices_containing(target_tx)  # raises UnknownTransaction if absent
 
-    honest_pool = dag.eligible_tips()
-    honest_targets = dag.cover_set(honest_pool) - {dag.genesis_id}
-    honest_tips = greedy_min_cover(dag, honest_targets, pool=honest_pool)
-    n_honest = _coverage_excluding_genesis(dag, honest_tips)
-
-    pool = censoring_tip_pool(dag, target_tx)
-    reachable = dag.cover_set(pool) - {dag.genesis_id}
-    censor_tips = greedy_min_cover(dag, reachable, pool=pool)
-    n_censor = _coverage_excluding_genesis(dag, censor_tips)
+    n_honest = _coverage_excluding_genesis(dag, dag.eligible_tips())
+    n_censor = _coverage_excluding_genesis(dag, censoring_tip_pool(dag, target_tx))
 
     delta_honest = delta_score(n_honest, ctx.n_vertices)
     delta_censor = delta_score(n_censor, ctx.n_vertices)

@@ -16,11 +16,10 @@ results are merged in ranking order.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .dag import HASH_BYTES, SIGNATURE_BYTES, Dag
+from .dag import HASH_BYTES, SIGNATURE_BYTES, Dag, _be8, _sha256
 from .errors import (
     EmptyDag,
     ForkDetected,
@@ -32,17 +31,6 @@ from .errors import (
 
 ZERO_HASH = b"\x00" * HASH_BYTES
 FINALITY_LAG = 2
-
-
-def _sha256(*parts: bytes) -> bytes:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.digest()
-
-
-def _be8(value: int) -> bytes:
-    return value.to_bytes(8, "big")
 
 
 def next_seed(prev_seed: bytes, round_no: int) -> bytes:
@@ -139,7 +127,7 @@ def greedy_min_cover(dag: Dag, targets, pool=None) -> list[bytes]:
             raise UncoverableTargets(f"target {vid.hex()} is not active")
         uncovered |= bit
     chosen: list[bytes] = []
-    masks = {t: dag.cover_mask((t,)) for t in tips}
+    masks = dict(zip(tips, dag.tip_masks(tips)))
     while uncovered:
         best_tip = None
         best_gain = 0
@@ -220,7 +208,8 @@ def censoring_tip_pool(dag: Dag, tx_hash: bytes) -> list[bytes]:
     forbidden = 0
     for vid in dag.vertices_containing(tx_hash):
         forbidden |= dag.own_bit(vid)
-    return [t for t in dag.eligible_tips() if not dag.cover_mask((t,)) & forbidden]
+    tips = dag.eligible_tips()
+    return [t for t, mask in zip(tips, dag.tip_masks(tips)) if not mask & forbidden]
 
 
 def make_proposal(

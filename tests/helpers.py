@@ -10,6 +10,8 @@ import random
 from itertools import combinations
 
 from minagree.dag import Dag, make_vertex
+from minagree.incentives import check_hard_constraint, delta_score, proposer_reward
+from minagree.rounds import censoring_tip_pool, greedy_min_cover
 
 
 def h32(label) -> bytes:
@@ -96,3 +98,29 @@ def reference_merkle(leaves) -> bytes:
     for i in range(0, len(leaves), 2):
         mid.append(hashlib.sha256(leaves[i] + leaves[i + 1]).digest())
     return reference_merkle(mid)
+
+
+def set_cover_censorship_cost(dag: Dag, target_tx, ctx, policy, mode: str = "soft") -> tuple:
+    """Censorship price from two explicit greedy set covers.
+
+    Builds the honest and the censoring proposal's tip sets with
+    ``greedy_min_cover``, as ``make_proposal`` does, and counts what each
+    covers; ``censorship_cost`` must agree without building either cover.
+    """
+    dag.vertices_containing(target_tx)
+
+    def covered(pool) -> int:
+        tips = greedy_min_cover(dag, dag.cover_set(pool) - {dag.genesis_id}, pool=pool)
+        return len(dag.cover_set(tips) - {dag.genesis_id})
+
+    n_honest = covered(dag.eligible_tips())
+    n_censor = covered(censoring_tip_pool(dag, target_tx))
+
+    def reward(n_covered: int):
+        delta = delta_score(n_covered, ctx.n_vertices)
+        return proposer_reward(ctx.round_fees, policy.base_block_reward, delta, policy)
+
+    cost = reward(n_honest) - reward(n_censor)
+    if mode == "soft":
+        return cost, True
+    return cost, check_hard_constraint(n_censor, ctx.n_vertices, policy.hard_alpha)

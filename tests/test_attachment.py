@@ -1,14 +1,15 @@
 """Tip-selection strategies and vertex payload construction."""
 
 import random
+from itertools import combinations
 
 import pytest
 from scipy import stats
 
-from helpers import brute_force_best_pair, grow_random_dag, h32
+from helpers import bfs_cover, brute_force_best_pair, grow_random_dag, h32
 from minagree.attachment import AttachmentStrategy, build_vertex, select_parents
 from minagree.dag import Dag, Transaction, make_vertex
-from minagree.errors import EmptyDag, UnknownParent
+from minagree.errors import EmptyDag, UnknownParent, UnknownVertex
 
 ALL_KINDS = ("random", "joint_cardinality", "metropolis", "greedy")
 
@@ -110,6 +111,42 @@ def test_greedy_example_ranking():
     dag.attach(r)  # cardinality 2
     pair = select_parents(dag, AttachmentStrategy("greedy"), random.Random(0))
     assert pair == (p, q.vertex_id)
+
+
+def _pools_with_markers(rng, count):
+    """Pools mixing active tips with boundary markers of pruned vertices."""
+    while count:
+        dag, ids = grow_random_dag(rng, rng.randrange(6, 40))
+        dag.prune_finalized(dag.cover_set(rng.sample(ids[1:], rng.randrange(1, 3))))
+        markers = sorted(dag.boundary)
+        pool = dag.tips() + rng.sample(markers, rng.randrange(1, min(len(markers), 4) + 1))
+        if len(pool) < 2 or len(pool) > 24:
+            continue
+        rng.shuffle(pool)
+        yield dag, pool
+        count -= 1
+
+
+def test_greedy_matches_brute_force_on_pools_with_markers():
+    for dag, pool in _pools_with_markers(random.Random(31), 80):
+        ranked = sorted(pool, key=lambda t: (-len(bfs_cover(dag, (t,))), t))
+        got = select_parents(dag, AttachmentStrategy("greedy"), random.Random(0), tips=pool)
+        assert got == (ranked[0], ranked[1])
+
+
+def test_joint_cardinality_matches_brute_force_on_pools_with_markers():
+    for dag, pool in _pools_with_markers(random.Random(32), 80):
+        best = min(combinations(sorted(pool), 2), key=lambda ab: (-len(bfs_cover(dag, ab)), ab))
+        got = select_parents(dag, AttachmentStrategy("joint_cardinality"), random.Random(0), tips=pool)
+        assert got == best
+
+
+@pytest.mark.parametrize("kind", ("joint_cardinality", "greedy"))
+def test_cover_strategies_reject_unknown_tip(kind):
+    dag, _ = grow_random_dag(random.Random(6), 10)
+    pool = dag.tips() + [h32("ghost")]
+    with pytest.raises(UnknownVertex):
+        select_parents(dag, AttachmentStrategy(kind), random.Random(0), tips=pool)
 
 
 def test_metropolis_uses_fallback_when_threshold_unreachable():

@@ -137,6 +137,13 @@ def test_censorship_csv(tmp_path, capsys):
     assert set(r[2] for r in rows[1:]) <= {"true", "false"}
 
 
+def test_censorship_rejects_reversed_depth_range(capsys):
+    code, out, err = run(capsys, "censorship", "--depths", "0,5-2")
+    assert code == 2
+    assert out == ""
+    assert "5-2" in err
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({

@@ -6,7 +6,9 @@ from itertools import product
 
 import pytest
 
-from helpers import h32
+from helpers import grow_random_dag, h32, set_cover_censorship_cost
+from minagree import harness
+from minagree.attachment import AttachmentStrategy
 from minagree.dag import Dag, make_vertex
 from minagree.errors import InvalidCounts, InvalidFraction, UnknownTransaction
 from minagree.incentives import (
@@ -304,6 +306,66 @@ def test_censorship_cost_tolerates_stale_strands():
     cost, feasible = censorship_cost(dag, txs[-1], params, RewardPolicy(), mode="soft")
     assert feasible is True
     assert cost > 0
+
+
+def _listed_transactions(dag):
+    return sorted({txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes})
+
+
+def _assert_matches_set_cover_oracle(dag, rng):
+    params = RoundParams(n_vertices=dag.active_count, round_fees=rng.randrange(1, 500))
+    policy = RewardPolicy(
+        base_block_reward=rng.randrange(0, 50),
+        non_producer_share=Fraction(rng.randrange(0, 4), 4),
+        hard_alpha=Fraction(rng.randrange(0, 5), 4),
+    )
+    for tx in _listed_transactions(dag):
+        for mode in ("soft", "hard"):
+            assert censorship_cost(dag, tx, params, policy, mode) == set_cover_censorship_cost(
+                dag, tx, params, policy, mode
+            )
+
+
+def test_censorship_cost_matches_set_cover_oracle():
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randrange(2, 40)
+        dag, ids = grow_random_dag(rng, n, txs_per_vertex=rng.randrange(0, 3))
+        _assert_matches_set_cover_oracle(dag, rng)
+
+        # stale strands: tips older than the cut-off leave the pools
+        dag.discard_stale_tips(current_round=n + 1, max_age=rng.randrange(1, n + 1))
+        _assert_matches_set_cover_oracle(dag, rng)
+
+        # a cover set is downward closed; pruning it drops genesis too
+        roots = rng.sample(ids[1:], rng.randrange(1, 3))
+        finalized = dag.cover_set(roots)
+        if len(finalized) < dag.active_count:
+            dag.prune_finalized(finalized)
+            if _listed_transactions(dag):
+                _assert_matches_set_cover_oracle(dag, rng)
+
+
+def test_censorship_experiment_rows_equal_separate_calls(monkeypatch):
+    calls = []
+
+    def recording_cost(*args, **kwargs):
+        calls.append(args)
+        return censorship_cost(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "censorship_cost", recording_cost)
+    config = harness.SimConfig(
+        seed=5, n_stakers=4, n_attachers=2, committee_size=3,
+        strategy=AttachmentStrategy("random"),
+        reward_policy=RewardPolicy(hard_alpha=Fraction(9, 10)),
+    )
+    rows = harness.censorship_experiment(config, range(8))
+    assert len(calls) == len(rows)
+    for row, (dag, target, params, policy) in zip(rows, calls):
+        soft_cost, _ = censorship_cost(dag, target, params, policy, mode="soft")
+        _, feasible = censorship_cost(dag, target, params, policy, mode="hard")
+        assert (row.soft_cost, row.hard_feasible) == (soft_cost, feasible)
+    assert {row.hard_feasible for row in rows} == {True, False}
 
 
 def test_censorship_unknown_transaction():
