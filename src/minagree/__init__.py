@@ -37,6 +37,7 @@ from .rounds import (
     CoveragePolicy,
     NotarizedBlock,
     Proposal,
+    ProposalBody,
     RoundContext,
     assemble_block,
     draw_roles,
@@ -46,6 +47,7 @@ from .rounds import (
     merkle_root,
     next_seed,
     notarize_round,
+    proposal_body,
 )
 
 __version__ = "0.1.0"
@@ -59,6 +61,7 @@ __all__ = [
     "LedgerAccounts",
     "NotarizedBlock",
     "Proposal",
+    "ProposalBody",
     "RewardPolicy",
     "RoundContext",
     "RoundEconomics",
@@ -86,6 +89,7 @@ __all__ = [
     "merkle_root",
     "next_seed",
     "notarize_round",
+    "proposal_body",
     "proposer_reward",
     "run_simulation",
     "select_parents",

@@ -171,10 +171,5 @@ def build_vertex(
     for parent in parents:
         if parent not in dag.vertices and parent not in dag.boundary:
             raise UnknownParent(f"unknown parent {parent.hex()}")
-    parents_mask = dag.cover_mask(parents)
-    tx_hashes = tuple(
-        tx.tx_hash
-        for tx in mempool
-        if not dag.transaction_in_mask(tx.tx_hash, parents_mask)
-    )
+    tx_hashes = dag.uncovered_hashes(mempool, dag.cover_mask(parents))
     return make_vertex(parents, attacher_id, round_no, tx_hashes)

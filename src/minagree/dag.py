@@ -38,10 +38,7 @@ GENESIS_ATTACHER = "genesis"
 
 
 def _sha256(*parts: bytes) -> bytes:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.digest()
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def _be8(value: int) -> bytes:
@@ -177,9 +174,12 @@ class Dag:
         self.vertices[vid] = vertex
         self._index[vid] = bit
         self._ids.append(vid)
-        self._mask[vid] = (1 << bit) | parents_mask
+        own = 1 << bit
+        self._mask[vid] = own | parents_mask
+        tx_mask = self._tx_mask
+        get = tx_mask.get
         for txh in vertex.tx_hashes:
-            self._tx_mask[txh] = self._tx_mask.get(txh, 0) | (1 << bit)
+            tx_mask[txh] = get(txh, 0) | own
         for parent in vertex.parents:
             self.tip_set.discard(parent)
             self._stale.discard(parent)
@@ -256,9 +256,11 @@ class Dag:
             raise UnknownTransaction(f"transaction {tx_hash.hex()} not in any active vertex")
         return sorted(self._decode_mask(mask))
 
-    def transaction_in_mask(self, tx_hash: bytes, cover_mask: int) -> bool:
-        """Whether any vertex in the bitmask region lists the transaction."""
-        return bool(self._tx_mask.get(tx_hash, 0) & cover_mask)
+    def uncovered_hashes(self, transactions, cover_mask: int) -> tuple[bytes, ...]:
+        """Hashes of the transactions no vertex in the bitmask region lists,
+        in the given order."""
+        get = self._tx_mask.get
+        return tuple([tx.tx_hash for tx in transactions if not get(tx.tx_hash, 0) & cover_mask])
 
     def own_bit(self, vertex_id: bytes) -> int | None:
         """Single-bit mask for one active vertex, or None if not active."""
@@ -271,8 +273,9 @@ class Dag:
         """Append one vertex; returns its content hash.
 
         Parents must exist (active or boundary marker), the vertex's round
-        may not precede a parent's, and its transaction list must be
-        disjoint from everything its parents already cover.
+        may not precede a parent's, and its transaction list must name
+        each transaction once and be disjoint from everything its parents
+        already cover.
         """
         vid = vertex.vertex_id
         if vid in self.vertices or vid in self.boundary:
@@ -292,11 +295,17 @@ class Dag:
                 raise CycleViolation(
                     f"vertex round {vertex.round} precedes parent round {parent_round}"
                 )
-        seen: set[bytes] = set()
-        for txh in vertex.tx_hashes:
-            if txh in seen or self._tx_mask.get(txh, 0) & parents_mask:
+        tx_hashes = vertex.tx_hashes
+        if len(set(tx_hashes)) != len(tx_hashes):
+            seen: set[bytes] = set()
+            for txh in tx_hashes:
+                if txh in seen:
+                    raise DuplicateCoverage(f"transaction {txh.hex()} listed twice")
+                seen.add(txh)
+        get = self._tx_mask.get
+        for txh in tx_hashes:
+            if get(txh, 0) & parents_mask:
                 raise DuplicateCoverage(f"transaction {txh.hex()} already covered")
-            seen.add(txh)
         self._store(vertex, parents_mask)
         return vid
 

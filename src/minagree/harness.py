@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 import statistics
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,6 +56,7 @@ from .rounds import (
     make_proposal,
     next_seed,
     notarize_round,
+    proposal_body,
 )
 
 FEE_GEOMETRIC_P = 0.125
@@ -213,18 +213,14 @@ class SimulationReport:
     config: dict
     rows: list[RoundRecord]
     aggregates: dict
-    wall_time_s: float = 0.0
     chain: ChainState | None = field(default=None, repr=False, compare=False)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "config": self.config,
             "rows": [row.to_dict() for row in self.rows],
             "aggregates": self.aggregates,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
 
 class _Frontier:
@@ -263,7 +259,6 @@ def run_simulation(config: SimConfig) -> SimulationReport:
     in the bootstrap round).
     """
     config.validate()
-    started = time.perf_counter()
 
     dag = Dag()
     chain = ChainState()
@@ -336,21 +331,20 @@ def run_simulation(config: SimConfig) -> SimulationReport:
             else:
                 arrivals.setdefault(r + delay, []).append((vertex.vertex_id, vertex.parents))
 
-        # proposals target the previous round's still-active vertices
+        # proposals target the previous round's still-active vertices; the
+        # ranked proposers share this view and policy, so one body serves all
         targets = [vid for vid in appended_prev if vid in dag.vertices]
-        policy = CoveragePolicy.cover_targets(targets)
-        proposers = ctx.proposer_ranking[: config.n_proposers]
+        body = proposal_body(dag, CoveragePolicy.cover_targets(targets), config.max_block_txs)
         proposals = [
-            make_proposal(dag, ctx, proposer, prev_hash, policy, config.max_block_txs)
-            for proposer in proposers
+            make_proposal(dag, ctx, proposer, prev_hash, body=body)
+            for proposer in ctx.proposer_ranking[: config.n_proposers]
         ]
         block = notarize_round(
             proposals, ctx, mode="rank", lam=config.reward_policy.competitive_lambda, dag=dag
         )
-        chain.add(block)
-        tx_list, carried = assemble_block(dag, block.proposal, config.max_block_txs)
+        tx_list, carried = assemble_block(dag, block.proposal, config.max_block_txs, order=body.order)
         block = finalized_with_assembly(block, tx_list, carried)
-        chain.replace_block(block)
+        chain.add(block)
         finalize(chain, r)
 
         fees = 0
@@ -430,7 +424,6 @@ def run_simulation(config: SimConfig) -> SimulationReport:
         config=config.to_dict(),
         rows=rows,
         aggregates=aggregates,
-        wall_time_s=time.perf_counter() - started,
         chain=chain,
     )
 

@@ -9,9 +9,10 @@ a seeded hash chain and signatures are fixed-size placeholders, sized to
 match the wire-format accounting.
 
 The engine advances one round at a time on a single logical timeline.
-Proposal construction for distinct proposers is side-effect free over a
-read-only DAG snapshot, so it may be evaluated concurrently as long as
-results are merged in ranking order.
+Honest proposers of a round share one view of the DAG and one coverage
+policy, so they publish the same tip set, canonical transaction order
+and Merkle root: that body is built once per round and signed once per
+ranked proposer.
 """
 
 from __future__ import annotations
@@ -127,22 +128,17 @@ def greedy_min_cover(dag: Dag, targets, pool=None) -> list[bytes]:
             raise UncoverableTargets(f"target {vid.hex()} is not active")
         uncovered |= bit
     chosen: list[bytes] = []
-    masks = dict(zip(tips, dag.tip_masks(tips)))
+    candidates = sorted(dict(zip(tips, dag.tip_masks(tips))).items())
     while uncovered:
-        best_tip = None
-        best_gain = 0
-        for tip in sorted(masks):
-            gain = (masks[tip] & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_tip = tip
-        if best_tip is None:
+        gains = [(mask & uncovered).bit_count() for _, mask in candidates]
+        best_gain = max(gains, default=0)
+        if not best_gain:
             raise UncoverableTargets(
                 f"{uncovered.bit_count()} target(s) not coverable by the candidate tips"
             )
-        chosen.append(best_tip)
-        uncovered &= ~masks[best_tip]
-        del masks[best_tip]
+        tip, mask = candidates.pop(gains.index(best_gain))
+        chosen.append(tip)
+        uncovered &= ~mask
     return chosen
 
 
@@ -212,21 +208,25 @@ def censoring_tip_pool(dag: Dag, tx_hash: bytes) -> list[bytes]:
     return [t for t, mask in zip(tips, dag.tip_masks(tips)) if not mask & forbidden]
 
 
-def make_proposal(
+@dataclass(frozen=True)
+class ProposalBody:
+    """The proposer-independent part of a proposal.
+
+    ``order`` is the full canonical transaction order of the tip set;
+    ``merkle_root`` commits to it truncated at the block cap.
+    """
+
+    tip_set: tuple[bytes, ...]
+    order: tuple[bytes, ...]
+    merkle_root: bytes
+
+
+def proposal_body(
     dag: Dag,
-    ctx: RoundContext,
-    proposer_id: str,
-    prev_block_hash: bytes,
     policy: CoveragePolicy = CoveragePolicy(),
     max_block_txs: int | None = None,
-) -> Proposal:
-    """Build and placeholder-sign one proposer's tip set for the round.
-
-    The Merkle root commits to the canonical transaction order of the tip
-    set, truncated to ``max_block_txs`` when a block cap applies.
-    """
-    if proposer_id not in ctx.proposer_ranking:
-        raise ValueError(f"{proposer_id!r} is not in this round's ranking")
+) -> ProposalBody:
+    """Choose the tip set a policy asks for and commit to its transactions."""
     if dag.active_count == 0:
         raise EmptyDag("cannot propose over an empty DAG")
 
@@ -247,15 +247,42 @@ def make_proposal(
     else:
         raise ValueError(f"unknown coverage policy {policy.mode!r}")
 
-    txs = dag.ordered_transactions(tips)
-    if max_block_txs is not None:
-        txs = txs[:max_block_txs]
+    order = dag.ordered_transactions(tips)
+    leaves = order if max_block_txs is None else order[:max_block_txs]
+    return ProposalBody(
+        tip_set=tuple(sorted(tips)),
+        order=tuple(order),
+        merkle_root=merkle_root(leaves),
+    )
+
+
+def make_proposal(
+    dag: Dag,
+    ctx: RoundContext,
+    proposer_id: str,
+    prev_block_hash: bytes,
+    policy: CoveragePolicy = CoveragePolicy(),
+    max_block_txs: int | None = None,
+    body: ProposalBody | None = None,
+) -> Proposal:
+    """Placeholder-sign one proposer's tip set for the round.
+
+    The Merkle root commits to the canonical transaction order of the tip
+    set, truncated to ``max_block_txs`` when a block cap applies.
+    ``body`` is the round's :func:`proposal_body`, built once over this
+    dag, policy and cap and shared by every proposer; without it the
+    body is built here.
+    """
+    if proposer_id not in ctx.proposer_ranking:
+        raise ValueError(f"{proposer_id!r} is not in this round's ranking")
+    if body is None:
+        body = proposal_body(dag, policy, max_block_txs)
     return Proposal(
         proposer_id=proposer_id,
         rank_index=ctx.proposer_ranking.index(proposer_id),
-        tip_set=tuple(sorted(tips)),
+        tip_set=body.tip_set,
         prev_block_hash=prev_block_hash,
-        merkle_root=merkle_root(txs),
+        merkle_root=body.merkle_root,
         signature=_proposal_signature(proposer_id, ctx.round),
     )
 
@@ -338,10 +365,6 @@ class ChainState:
             raise ForkDetected(f"two notarized blocks in round {block.round}")
         self.blocks[block.round] = block
 
-    def replace_block(self, block: NotarizedBlock) -> None:
-        """Swap in the assembled form of an already-notarized block."""
-        self.blocks[block.round] = block
-
     def head(self) -> NotarizedBlock | None:
         if not self.blocks:
             return None
@@ -373,15 +396,18 @@ def assemble_block(
     dag: Dag,
     winner: Proposal,
     max_block_txs: int | None = None,
+    order: tuple[bytes, ...] | None = None,
 ) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
     """Expand the winning tip set into the block's transaction list.
 
     Returns ``(tx_list, carried_over)``: the canonical order truncated at
     the block cap, and the truncated remainder to re-queue for later
-    rounds.  Pruning the covered vertex set afterwards is the caller's
-    job.
+    rounds.  ``order`` is that canonical order when the caller already
+    holds it (the winner's :class:`ProposalBody`); otherwise it is
+    computed from the dag.  Pruning the covered vertex set afterwards is
+    the caller's job.
     """
-    txs = dag.ordered_transactions(winner.tip_set)
+    txs = dag.ordered_transactions(winner.tip_set) if order is None else order
     if max_block_txs is None:
         return tuple(txs), ()
     return tuple(txs[:max_block_txs]), tuple(txs[max_block_txs:])

@@ -85,6 +85,24 @@ def brute_force_min_cover(dag: Dag, targets, tips) -> int:
     raise AssertionError("targets not coverable by any tip subset")
 
 
+def reference_greedy_cover(dag: Dag, targets, tips) -> list:
+    """Greedy set cover that re-sorts the candidates on every pick.
+
+    Gains are counted over BFS covers; among the largest gains the
+    lowest tip id is taken.
+    """
+    uncovered = set(targets)
+    candidates = {tip: bfs_cover(dag, (tip,)) for tip in tips}
+    chosen = []
+    while uncovered:
+        tip = max(sorted(candidates), key=lambda t: len(candidates[t] & uncovered))
+        if not candidates[tip] & uncovered:
+            raise AssertionError("targets not coverable by the candidate tips")
+        chosen.append(tip)
+        uncovered -= candidates.pop(tip)
+    return chosen
+
+
 def reference_merkle(leaves) -> bytes:
     """Recursive Merkle root, structured unlike the production version."""
     leaves = list(leaves)

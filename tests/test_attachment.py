@@ -226,6 +226,24 @@ def test_build_vertex_filters_covered_transactions():
     assert len(empty.signature) == 65
 
 
+def test_build_vertex_payload_matches_bfs_filter_on_random_dags():
+    rng = random.Random(71)
+    for trial in range(40):
+        dag, ids = grow_random_dag(rng, rng.randrange(2, 30), txs_per_vertex=3)
+        if trial % 2:
+            # parents may then be boundary markers, which cover nothing
+            dag.prune_finalized(dag.cover_set((rng.choice(ids),)))
+        listed = [txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes]
+        fresh = [h32(f"fresh-{trial}-{k}") for k in range(5)]
+        mempool = [Transaction(txh, 1) for txh in rng.sample(listed, min(len(listed), 20)) + fresh]
+        rng.shuffle(mempool)
+        parents = (rng.choice(ids), rng.choice(ids))
+        covered = {txh for vid in bfs_cover(dag, parents) for txh in dag.vertices[vid].tx_hashes}
+        vertex = build_vertex(dag, "alice", mempool, parents, len(ids))
+        assert vertex.tx_hashes == tuple(tx.tx_hash for tx in mempool if tx.tx_hash not in covered)
+        dag.attach(vertex)
+
+
 def test_build_vertex_unknown_parent():
     dag = Dag()
     with pytest.raises(UnknownParent):

@@ -86,6 +86,26 @@ def test_attach_duplicate_coverage():
         dag.attach(dup)
 
 
+@pytest.mark.parametrize("case", ["listed_twice", "covered_by_parent"])
+def test_rejected_vertex_leaves_the_dag_unchanged(case):
+    t1, t2 = h32("t1"), h32("t2")
+    dag = Dag()
+    g = dag.genesis_id
+    a = make_vertex((g, g), "alice", 1, (t1,))
+    dag.attach(a)
+    tips, active = set(dag.tip_set), dag.active_count
+    listed = (t2, h32("t3"), t2) if case == "listed_twice" else (t2, t1)
+    bad = make_vertex((a.vertex_id, a.vertex_id), "bob", 2, listed)
+    with pytest.raises(DuplicateCoverage):
+        dag.attach(bad)
+    assert dag.tip_set == tips
+    assert dag.active_count == active
+    assert bad.vertex_id not in dag.vertices
+    with pytest.raises(UnknownTransaction):
+        dag.vertices_containing(t2)
+    assert dag.vertices_containing(t1) == [a.vertex_id]
+
+
 def test_sibling_branches_may_repeat_a_transaction():
     t1 = h32("t1")
     dag = Dag()

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import brute_force_min_cover, grow_random_dag, h32, reference_merkle
+from helpers import (
+    brute_force_min_cover,
+    grow_random_dag,
+    h32,
+    reference_greedy_cover,
+    reference_merkle,
+)
 from minagree.dag import Dag, make_vertex
 from minagree.errors import (
     ForkDetected,
@@ -31,6 +37,7 @@ from minagree.rounds import (
     merkle_root,
     next_seed,
     notarize_round,
+    proposal_body,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -179,6 +186,15 @@ def test_greedy_cover_always_covers_and_near_optimal():
         assert len(chosen) <= optimum * bound
 
 
+def test_greedy_cover_matches_reference_tie_order():
+    rng = random.Random(45)
+    for _ in range(60):
+        dag, ids = grow_random_dag(rng, rng.randrange(4, 30))
+        active = [v for v in ids if v in dag.vertices]
+        targets = rng.sample(active, rng.randrange(1, len(active) + 1))
+        assert greedy_min_cover(dag, targets) == reference_greedy_cover(dag, targets, dag.eligible_tips())
+
+
 # --- proposals ---
 
 def _simple_ctx(dag=None, stakers=4, round_no=1):
@@ -251,6 +267,43 @@ def test_proposal_respects_block_cap_in_merkle():
     ctx = _simple_ctx()
     p = make_proposal(dag, ctx, ctx.proposer_ranking[0], ZERO_HASH, max_block_txs=3)
     assert p.merkle_root == merkle_root(list(txs[:3]))
+
+
+def _random_policy(rng, dag, mode):
+    if mode == "targets":
+        coverable = sorted(dag.cover_set(dag.eligible_tips()))
+        return CoveragePolicy.cover_targets(rng.sample(coverable, rng.randrange(len(coverable) + 1)))
+    if mode == "censor":
+        listed = [txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes]
+        return CoveragePolicy.censoring(rng.choice(listed))
+    if mode == "empty":
+        return CoveragePolicy.empty()
+    return CoveragePolicy()
+
+
+@pytest.mark.parametrize("mode", ["max_coverage", "targets", "censor", "empty"])
+def test_shared_body_proposals_equal_independent_proposals(mode):
+    rng = random.Random(f"shared-body-{mode}")
+    for trial in range(25):
+        dag, ids = grow_random_dag(rng, rng.randrange(2, 25), txs_per_vertex=2)
+        if trial % 3 == 0:
+            dag.discard_stale_tips(current_round=len(ids) + 4, max_age=10)
+        policy = _random_policy(rng, dag, mode)
+        cap = rng.choice([None, 0, 1, 5])
+        ctx = _simple_ctx(stakers=5, round_no=trial)
+        prev = h32(f"prev-{trial}")
+        body = proposal_body(dag, policy, cap)
+        for proposer in ctx.proposer_ranking[:3]:
+            shared = make_proposal(dag, ctx, proposer, prev, body=body)
+            alone = make_proposal(dag, ctx, proposer, prev, policy, cap)
+            assert shared.proposer_id == alone.proposer_id == proposer
+            assert shared.tip_set == alone.tip_set
+            assert shared.merkle_root == alone.merkle_root
+            assert shared.rank_index == alone.rank_index
+            assert shared.signature == alone.signature
+            assert shared.prev_block_hash == alone.prev_block_hash == prev
+            assert shared == alone
+            assert assemble_block(dag, shared, cap, order=body.order) == assemble_block(dag, alone, cap)
 
 
 # --- notarization ---
