@@ -38,7 +38,9 @@ class AttachmentStrategy:
 
     def __post_init__(self) -> None:
         if self.kind not in STRATEGY_NAMES:
-            raise ValueError(f"unknown strategy {self.kind!r}; expected one of {STRATEGY_NAMES}")
+            raise ValueError(
+                f"unknown strategy {self.kind!r}; expected one of {', '.join(STRATEGY_NAMES)}"
+            )
         if not 0.0 < self.metropolis_threshold <= 1.0:
             raise ValueError("metropolis_threshold must be in (0, 1]")
         if self.metropolis_max_iters < 1:

@@ -20,83 +20,73 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
+from typing import get_type_hints
 
-from .attachment import STRATEGY_NAMES, AttachmentStrategy
+from .attachment import STRATEGY_NAMES
 from .errors import ConfigInvalid, SimulatorError
 from .harness import (
+    CensorshipRow,
     DelayModel,
+    RoundRecord,
     SimConfig,
+    Table1Cell,
     bandwidth_estimate,
     censorship_experiment,
     run_simulation,
     table1_experiment,
 )
-from .incentives import RewardPolicy
 
 log = logging.getLogger("minagree")
 
-_INT_KEYS = (
-    "seed",
-    "n_stakers",
-    "n_attachers",
-    "committee_size",
-    "n_proposers",
-    "n_blocks",
-    "tip_discard_age",
-    "mempool_rate",
-    "metropolis_max_iters",
-    "base_block_reward",
-    "decouple_window",
-)
-_FLOAT_KEYS = ("visibility_horizon", "metropolis_threshold")
-_FRACTION_KEYS = ("non_producer_share", "hard_alpha", "competitive_lambda", "committee_share")
-_OPTIONAL_INT_KEYS = ("max_block_txs", "carryover_retry_limit")
-_STRING_KEYS = ("strategy", "delay_model")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _FRACTION_KEYS + _OPTIONAL_INT_KEYS + _STRING_KEYS
 
-_DEFAULTS = {
-    "seed": 7,
-    "n_stakers": 16,
-    "n_attachers": 8,
-    "committee_size": 5,
-    "n_proposers": 3,
-    "n_blocks": 100,
-    "tip_discard_age": 10,
-    "mempool_rate": 8,
-    "metropolis_max_iters": 32,
-    "base_block_reward": 0,
-    "decouple_window": 1,
-    "visibility_horizon": 1.0,
-    "metropolis_threshold": 0.5,
-    "non_producer_share": "0",
-    "hard_alpha": "1/2",
-    "competitive_lambda": "1/2",
-    "committee_share": "0",
-    "max_block_txs": None,
-    "carryover_retry_limit": None,
-    "strategy": "random",
-    "delay_model": "none",
+def _as_int(value) -> int:
+    # int() would truncate 2.7 and read a JSON true as 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _as_optional_int(value) -> int | None:
+    if value is None or (isinstance(value, str) and value.lower() in ("none", "null", "")):
+        return None
+    return _as_int(value)
+
+
+# how a config value (JSON or --set text) is read, by field annotation
+_COERCERS = {
+    int: _as_int,
+    float: float,
+    Fraction: lambda value: Fraction(str(value)),
+    int | None: _as_optional_int,
+    str: str,
+    DelayModel: lambda value: DelayModel.parse(str(value)),
 }
 
 
-def _coerce(key: str, value) -> object:
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _FRACTION_KEYS:
-            return Fraction(str(value))
-        if key in _OPTIONAL_INT_KEYS:
-            if value is None or (isinstance(value, str) and value.lower() in ("none", "null", "")):
-                return None
-            return int(value)
-        if key in _STRING_KEYS:
-            return str(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad value for {key!r}: {value!r}") from exc
-    raise ConfigInvalid(f"unknown config key {key!r}")
+def _config_keys() -> dict:
+    """Flat config key -> (policy field or None, field name, coercer).
+
+    Every ``SimConfig`` field is a key, except that a nested policy
+    (``strategy``, ``reward_policy``) contributes its own fields instead;
+    a policy's ``kind`` goes by the policy's name.
+    """
+    keys = {}
+    hints = get_type_hints(SimConfig)
+    for f in fields(SimConfig):
+        hint = hints[f.name]
+        if hint in _COERCERS:
+            keys[f.name] = (None, f.name, _COERCERS[hint])
+            continue
+        sub_hints = get_type_hints(hint)
+        for sub in fields(hint):
+            key = f.name if sub.name == "kind" else sub.name
+            keys[key] = (f.name, sub.name, _COERCERS[sub_hints[sub.name]])
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 
 def _load_config_file(path: str) -> dict:
@@ -113,60 +103,43 @@ def _load_config_file(path: str) -> dict:
 
 
 def build_sim_config(config_path: str | None, overrides) -> SimConfig:
-    """Merge defaults, the config file and key=value overrides.
+    """Apply the config file, then key=value overrides, to ``SimConfig()``.
 
     Unknown keys are rejected rather than ignored.
     """
-    merged = dict(_DEFAULTS)
+    settings = {}
     if config_path:
         for key, value in _load_config_file(config_path).items():
-            if key not in _ALL_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ConfigInvalid(f"unknown config key {key!r} in {config_path}")
-            merged[key] = value
+            settings[key] = value
     for item in overrides or ():
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigInvalid(f"override {item!r} is not of the form key=value")
-        if key not in _ALL_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigInvalid(f"unknown override key {key!r}")
-        merged[key] = value
-    values = {key: _coerce(key, merged[key]) for key in _ALL_KEYS}
+        settings[key] = value
 
-    strategy_name = values["strategy"]
-    if strategy_name not in STRATEGY_NAMES:
-        raise ConfigInvalid(
-            f"unknown strategy {strategy_name!r}; expected one of {', '.join(STRATEGY_NAMES)}"
-        )
+    top: dict = {}
+    nested: dict = {}
+    for key, (policy, name, coerce) in CONFIG_KEYS.items():
+        if key not in settings:
+            continue
+        try:
+            value = coerce(settings[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"bad value for {key!r}: {settings[key]!r}") from exc
+        if policy:
+            nested.setdefault(policy, {})[name] = value
+        else:
+            top[name] = value
+
+    defaults = SimConfig()
     try:
-        strategy = AttachmentStrategy(
-            kind=strategy_name,
-            metropolis_threshold=values["metropolis_threshold"],
-            metropolis_max_iters=values["metropolis_max_iters"],
-        )
-        policy = RewardPolicy(
-            base_block_reward=values["base_block_reward"],
-            non_producer_share=values["non_producer_share"],
-            decouple_window=values["decouple_window"],
-            hard_alpha=values["hard_alpha"],
-            competitive_lambda=values["competitive_lambda"],
-            committee_share=values["committee_share"],
-        )
-        config = SimConfig(
-            seed=values["seed"],
-            n_stakers=values["n_stakers"],
-            n_attachers=values["n_attachers"],
-            committee_size=values["committee_size"],
-            n_proposers=values["n_proposers"],
-            strategy=strategy,
-            n_blocks=values["n_blocks"],
-            tip_discard_age=values["tip_discard_age"],
-            mempool_rate=values["mempool_rate"],
-            delay_model=DelayModel.parse(values["delay_model"]),
-            reward_policy=policy,
-            max_block_txs=values["max_block_txs"],
-            visibility_horizon=values["visibility_horizon"],
-            carryover_retry_limit=values["carryover_retry_limit"],
-        )
+        for policy, changes in nested.items():
+            top[policy] = replace(getattr(defaults, policy), **changes)
+        config = replace(defaults, **top)
     except (ValueError, SimulatorError) as exc:
         raise ConfigInvalid(str(exc)) from exc
     config.validate()
@@ -178,23 +151,19 @@ def _write_csv(columns, rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow(row)
+        writer.writerow([("true" if v else "false") if isinstance(v, bool) else v for v in row])
     return buf.getvalue()
 
 
-def _csv_bool(value: bool) -> str:
-    return "true" if value else "false"
+def _rows_csv(row_type, rows) -> str:
+    """One column per field of the row dataclass, in declaration order."""
+    return _write_csv([f.name for f in fields(row_type)], [row.to_dict().values() for row in rows])
 
 
 def render_simulation(report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.to_dict(), indent=2) + "\n"
-    columns = ("round", "proposal_size", "delta", "fees", "coverage", "carried_over")
-    rows = [
-        (r.round, r.proposal_size, float(r.delta), r.fees, r.coverage, r.carried_over)
-        for r in report.rows
-    ]
-    return _write_csv(columns, rows)
+    return _rows_csv(RoundRecord, report.rows)
 
 
 def render_table1(cells, fmt: str) -> str:
@@ -205,26 +174,21 @@ def render_table1(cells, fmt: str) -> str:
             "aggregates": {},
         }
         return json.dumps(payload, indent=2) + "\n"
-    columns = ("strategy", "n_vertices", "mean_proposal_size", "stddev", "n_blocks", "seed")
-    rows = [
-        (c.strategy, c.n_vertices, c.mean_proposal_size, c.stddev, c.n_blocks, c.seed)
-        for c in cells
-    ]
-    return _write_csv(columns, rows)
+    return _rows_csv(Table1Cell, cells)
 
 
 def render_bandwidth(dag_bytes: int, compact_bytes: int, fmt: str) -> str:
+    payload = {"dag_bytes": dag_bytes, "compact_bytes": compact_bytes}
     if fmt == "json":
-        return json.dumps({"dag_bytes": dag_bytes, "compact_bytes": compact_bytes}, indent=2) + "\n"
-    return _write_csv(("dag_bytes", "compact_bytes"), [(dag_bytes, compact_bytes)])
+        return json.dumps(payload, indent=2) + "\n"
+    return _write_csv(payload, [payload.values()])
 
 
 def render_censorship(rows, fmt: str) -> str:
     if fmt == "json":
         payload = {"rows": [row.to_dict() for row in rows]}
         return json.dumps(payload, indent=2) + "\n"
-    columns = ("depth", "soft_cost", "hard_feasible")
-    return _write_csv(columns, [(r.depth, float(r.soft_cost), _csv_bool(r.hard_feasible)) for r in rows])
+    return _rows_csv(CensorshipRow, rows)
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -238,9 +202,12 @@ def _emit(text: str, output_path: str | None) -> None:
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        sizes = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigInvalid(f"bad sizes list {text!r}") from exc
+    if not sizes:
+        raise ConfigInvalid("empty sizes list")
+    return sizes
 
 
 def _parse_strategies(text: str) -> list[str]:

@@ -185,16 +185,6 @@ class Dag:
             self._stale.discard(parent)
         self.tip_set.add(vid)
 
-    def _roots_mask(self, roots) -> int:
-        mask = 0
-        for vid in roots:
-            cached = self._mask.get(vid)
-            if cached is not None:
-                mask |= cached
-            elif vid not in self.boundary:
-                raise UnknownVertex(f"unknown vertex {vid.hex()}")
-        return mask
-
     def _decode_mask(self, mask: int) -> set[bytes]:
         out = set()
         while mask:
@@ -220,26 +210,32 @@ class Dag:
     def is_stale(self, vertex_id: bytes) -> bool:
         return vertex_id in self._stale
 
-    def tips(self, eligible_only: bool = False) -> list[bytes]:
+    def tips(self) -> list[bytes]:
         """Active vertices with no in-coming edge, ascending by id."""
-        if eligible_only:
-            return sorted(self.tip_set - self._stale)
         return sorted(self.tip_set)
 
     def eligible_tips(self) -> list[bytes]:
-        return self.tips(eligible_only=True)
+        """:meth:`tips` that are not flagged stale, ascending by id."""
+        return sorted(self.tip_set - self._stale)
 
     def cover_mask(self, roots) -> int:
         """Bitmask form of :meth:`cover_set` (positions into active ids)."""
-        return self._roots_mask(roots)
+        mask = 0
+        for vid in roots:
+            cached = self._mask.get(vid)
+            if cached is not None:
+                mask |= cached
+            elif vid not in self.boundary:
+                raise UnknownVertex(f"unknown vertex {vid.hex()}")
+        return mask
 
     def cover_set(self, roots) -> set[bytes]:
         """Each root plus everything reachable through parent references,
         restricted to active vertices."""
-        return self._decode_mask(self._roots_mask(roots))
+        return self._decode_mask(self.cover_mask(roots))
 
     def cover_cardinality(self, roots) -> int:
-        return self._roots_mask(roots).bit_count()
+        return self.cover_mask(roots).bit_count()
 
     def tip_masks(self, tips) -> list[int]:
         """:meth:`cover_mask` of each vertex on its own, in the given order.
@@ -247,7 +243,7 @@ class Dag:
         Boundary markers give 0; an unknown id raises :class:`UnknownVertex`.
         """
         masks = self._mask
-        return [masks[t] if t in masks else self._roots_mask((t,)) for t in tips]
+        return [masks[t] if t in masks else self.cover_mask((t,)) for t in tips]
 
     def vertices_containing(self, tx_hash: bytes) -> list[bytes]:
         """Active vertices listing the transaction, ascending by id."""

@@ -19,10 +19,11 @@ sensitivity runs around these defaults.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
 from .attachment import AttachmentStrategy, build_vertex, select_parents
@@ -118,10 +119,13 @@ class DelayModel:
 
 @dataclass(frozen=True)
 class SimConfig:
-    seed: int
-    n_stakers: int
-    n_attachers: int
-    committee_size: int = 1
+    """One simulation's settings; the CLI's config keys and defaults are
+    derived from these fields."""
+
+    seed: int = 7
+    n_stakers: int = 16
+    n_attachers: int = 8
+    committee_size: int = 5
     n_proposers: int = 3
     strategy: AttachmentStrategy = AttachmentStrategy("random")
     n_blocks: int = 100
@@ -155,57 +159,48 @@ class SimConfig:
             raise ConfigInvalid("max_block_txs must be >= 0 when set")
         if self.visibility_horizon < 0:
             raise ConfigInvalid("visibility_horizon must be >= 0")
+        # run_simulation rounds horizon x attachers to a slot count
+        if not math.isfinite(self.visibility_horizon * self.n_attachers):
+            raise ConfigInvalid("visibility_horizon must be finite")
         if self.carryover_retry_limit is not None and self.carryover_retry_limit < 0:
             raise ConfigInvalid("carryover_retry_limit must be >= 0 when set")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_stakers": self.n_stakers,
-            "n_attachers": self.n_attachers,
-            "committee_size": self.committee_size,
-            "n_proposers": self.n_proposers,
-            "strategy": {
-                "kind": self.strategy.kind,
-                "metropolis_threshold": self.strategy.metropolis_threshold,
-                "metropolis_max_iters": self.strategy.metropolis_max_iters,
-            },
-            "n_blocks": self.n_blocks,
-            "tip_discard_age": self.tip_discard_age,
-            "mempool_rate": self.mempool_rate,
-            "delay_model": self.delay_model.label(),
-            "reward_policy": {
-                "base_block_reward": self.reward_policy.base_block_reward,
-                "non_producer_share": str(self.reward_policy.non_producer_share),
-                "decouple_window": self.reward_policy.decouple_window,
-                "hard_alpha": str(self.reward_policy.hard_alpha),
-                "competitive_lambda": str(self.reward_policy.competitive_lambda),
-                "committee_share": str(self.reward_policy.committee_share),
-            },
-            "max_block_txs": self.max_block_txs,
-            "visibility_horizon": self.visibility_horizon,
-            "carryover_retry_limit": self.carryover_retry_limit,
-        }
+        return _plain(self)
+
+
+def _plain(value):
+    """JSON form of a config value: a nested policy becomes an object of
+    its fields in declaration order, a Fraction its exact string and a
+    DelayModel its label."""
+    if isinstance(value, DelayModel):
+        return value.label()
+    if isinstance(value, Fraction):
+        return str(value)
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+class _ReportRow:
+    """Report rows serialize as their fields in order, Fractions as floats."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = float(value) if isinstance(value, Fraction) else value
+        return out
 
 
 @dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(_ReportRow):
     round: int
     proposal_size: int
     delta: Fraction
     fees: int
     coverage: int
     carried_over: int
-
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "proposal_size": self.proposal_size,
-            "delta": float(self.delta),
-            "fees": self.fees,
-            "coverage": self.coverage,
-            "carried_over": self.carried_over,
-        }
 
 
 @dataclass
@@ -444,23 +439,13 @@ def bandwidth_estimate(n_tps: int, t_block: int, n_vertices: int) -> tuple[int, 
 
 
 @dataclass(frozen=True)
-class Table1Cell:
+class Table1Cell(_ReportRow):
     strategy: str
     n_vertices: int
     mean_proposal_size: float
     stddev: float
     n_blocks: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "n_vertices": self.n_vertices,
-            "mean_proposal_size": self.mean_proposal_size,
-            "stddev": self.stddev,
-            "n_blocks": self.n_blocks,
-            "seed": self.seed,
-        }
 
 
 def table1_experiment(
@@ -514,17 +499,10 @@ def table1_experiment(
 
 
 @dataclass(frozen=True)
-class CensorshipRow:
+class CensorshipRow(_ReportRow):
     depth: int
     soft_cost: Fraction
     hard_feasible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "soft_cost": float(self.soft_cost),
-            "hard_feasible": self.hard_feasible,
-        }
 
 
 def censorship_experiment(config: SimConfig, target_depths) -> list[CensorshipRow]:

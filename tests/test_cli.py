@@ -3,11 +3,17 @@
 import csv
 import io
 import json
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from minagree.cli import build_sim_config, run_cli
+from minagree.attachment import AttachmentStrategy
+from minagree.cli import CONFIG_KEYS, build_sim_config, run_cli
 from minagree.errors import ConfigInvalid
+from minagree.harness import DelayModel, SimConfig
+from minagree.incentives import RewardPolicy
 
 
 def run(capsys, *argv):
@@ -186,3 +192,200 @@ def test_simulation_error_exits_1(capsys, monkeypatch):
                        "--set", "n_attachers=2", "--set", "committee_size=3")
     assert code == 1
     assert "two blocks" in err
+
+
+DEFAULT_CONFIG_DICT = {
+    "seed": 7,
+    "n_stakers": 16,
+    "n_attachers": 8,
+    "committee_size": 5,
+    "n_proposers": 3,
+    "strategy": {"kind": "random", "metropolis_threshold": 0.5, "metropolis_max_iters": 32},
+    "n_blocks": 100,
+    "tip_discard_age": 10,
+    "mempool_rate": 8,
+    "delay_model": "none",
+    "reward_policy": {
+        "base_block_reward": 0,
+        "non_producer_share": "0",
+        "decouple_window": 1,
+        "hard_alpha": "1/2",
+        "competitive_lambda": "1/2",
+        "committee_share": "0",
+    },
+    "max_block_txs": None,
+    "visibility_horizon": 1.0,
+    "carryover_retry_limit": None,
+}
+
+
+def test_cli_defaults_are_pinned():
+    config = build_sim_config(None, [])
+    assert config == SimConfig(
+        seed=7,
+        n_stakers=16,
+        n_attachers=8,
+        committee_size=5,
+        n_proposers=3,
+        strategy=AttachmentStrategy("random", metropolis_threshold=0.5, metropolis_max_iters=32),
+        n_blocks=100,
+        tip_discard_age=10,
+        mempool_rate=8,
+        delay_model=DelayModel("none"),
+        reward_policy=RewardPolicy(
+            base_block_reward=0,
+            non_producer_share=Fraction(0),
+            decouple_window=1,
+            hard_alpha=Fraction(1, 2),
+            competitive_lambda=Fraction(1, 2),
+            committee_share=Fraction(0),
+        ),
+        max_block_txs=None,
+        visibility_horizon=1.0,
+        carryover_retry_limit=None,
+    )
+    assert config == SimConfig()
+    # key order is part of the report format
+    assert json.dumps(config.to_dict()) == json.dumps(DEFAULT_CONFIG_DICT)
+
+
+# (key, --set text, path to the field, expected field value); one per config key
+OVERRIDES = [
+    ("seed", "11", ("seed",), 11),
+    ("n_stakers", "20", ("n_stakers",), 20),
+    ("n_attachers", "4", ("n_attachers",), 4),
+    ("committee_size", "3", ("committee_size",), 3),
+    ("n_proposers", "2", ("n_proposers",), 2),
+    ("strategy", "greedy", ("strategy", "kind"), "greedy"),
+    ("metropolis_threshold", "0.25", ("strategy", "metropolis_threshold"), 0.25),
+    ("metropolis_max_iters", "8", ("strategy", "metropolis_max_iters"), 8),
+    ("n_blocks", "9", ("n_blocks",), 9),
+    ("tip_discard_age", "4", ("tip_discard_age",), 4),
+    ("mempool_rate", "0", ("mempool_rate",), 0),
+    ("delay_model", "fixed:2", ("delay_model",), DelayModel("fixed", 2)),
+    ("base_block_reward", "50", ("reward_policy", "base_block_reward"), 50),
+    ("non_producer_share", "1/4", ("reward_policy", "non_producer_share"), Fraction(1, 4)),
+    ("decouple_window", "3", ("reward_policy", "decouple_window"), 3),
+    ("hard_alpha", "2/3", ("reward_policy", "hard_alpha"), Fraction(2, 3)),
+    ("competitive_lambda", "1", ("reward_policy", "competitive_lambda"), Fraction(1)),
+    ("committee_share", "1/10", ("reward_policy", "committee_share"), Fraction(1, 10)),
+    ("max_block_txs", "12", ("max_block_txs",), 12),
+    ("visibility_horizon", "0.5", ("visibility_horizon",), 0.5),
+    ("carryover_retry_limit", "3", ("carryover_retry_limit",), 3),
+]
+
+
+def _leaves(payload, prefix=()):
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,), value
+
+
+@pytest.mark.parametrize("key,text,path,expected", OVERRIDES, ids=[o[0] for o in OVERRIDES])
+def test_each_override_key_lands_on_its_field(key, text, path, expected):
+    config = build_sim_config(None, [f"{key}={text}"])
+    value = config
+    for name in path:
+        value = getattr(value, name)
+    assert value == expected
+    assert type(value) is type(expected)
+    default = dict(_leaves(DEFAULT_CONFIG_DICT))
+    changed = [leaf for leaf, got in _leaves(config.to_dict()) if got != default[leaf]]
+    assert changed == [path]
+
+
+def test_config_keys_are_the_fields_in_declaration_order():
+    assert list(CONFIG_KEYS) == [key for key, *_ in OVERRIDES]
+
+
+@pytest.mark.parametrize(
+    "argv,header",
+    [
+        (["simulate", "--set", "n_blocks=2"],
+         "round,proposal_size,delta,fees,coverage,carried_over"),
+        (["table1", "--blocks", "2", "--sizes", "4", "--strategies", "random"],
+         "strategy,n_vertices,mean_proposal_size,stddev,n_blocks,seed"),
+        (["censorship", "--depths", "0-1"], "depth,soft_cost,hard_feasible"),
+    ],
+    ids=["simulate", "table1", "censorship"],
+)
+def test_csv_headers_are_pinned(capsys, argv, header):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == header
+
+
+def test_censorship_csv_writes_lowercase_bools(capsys):
+    args = ["censorship", "--depths", "0-6"]
+    code, csv_out, _ = run(capsys, *args)
+    assert code == 0
+    code, json_out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    flags = [row["hard_feasible"] for row in json.loads(json_out)["rows"]]
+    assert set(flags) == {True, False}
+    assert [row["hard_feasible"] for row in csv.DictReader(io.StringIO(csv_out))] == [
+        "true" if flag else "false" for flag in flags
+    ]
+
+
+@pytest.mark.parametrize("value", [2.7, True, False], ids=["fraction", "true", "false"])
+def test_integer_keys_reject_bools_and_fractional_numbers(tmp_path, capsys, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_blocks": value}))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "bad value for 'n_blocks'" in err
+
+
+def test_integer_keys_accept_integers(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_blocks": 4, "max_block_txs": 2.0, "seed": "9"}))
+    config = build_sim_config(str(cfg), ["n_stakers=3", "n_attachers=2", "committee_size=3"])
+    assert (config.n_blocks, config.max_block_txs, config.seed) == (4, 2, 9)
+    assert build_sim_config(None, ["n_blocks=3"]).n_blocks == 3
+    with pytest.raises(ConfigInvalid, match="bad value for 'max_block_txs'"):
+        build_sim_config(None, ["max_block_txs=1.5"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--set", "visibility_horizon=nan"],
+        ["simulate", "--set", "visibility_horizon=inf"],
+        ["table1", "--horizon", "nan", "--sizes", "4", "--blocks", "2"],
+        ["table1", "--horizon", "inf", "--sizes", "4", "--blocks", "2"],
+    ],
+    ids=["simulate-nan", "simulate-inf", "table1-nan", "table1-inf"],
+)
+def test_non_finite_horizon_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "visibility_horizon must be finite" in err
+
+
+def test_table1_rejects_empty_sizes(capsys):
+    code, out, err = run(capsys, "table1", "--sizes", ",")
+    assert (code, out) == (2, "")
+    assert "empty sizes list" in err
+
+
+def _cli_text(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, DelayModel):
+        return value.label()
+    return str(value)
+
+
+def test_readme_documents_every_config_key_and_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = dict(re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, flags=re.M))
+    defaults = SimConfig()
+    derived = {}
+    for key, (policy, name, _) in CONFIG_KEYS.items():
+        owner = getattr(defaults, policy) if policy else defaults
+        derived[key] = _cli_text(getattr(owner, name))
+    assert documented == derived

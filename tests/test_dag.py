@@ -129,7 +129,7 @@ def test_stale_tip_flagging_and_boundaries():
     dag.attach(d)
     assert dag.discard_stale_tips(current_round=11, max_age=10) == 1
     assert dag.tips() == sorted([c, d.vertex_id])
-    assert dag.tips(eligible_only=True) == [c]
+    assert dag.eligible_tips() == [c]
     # boundary case: age exactly max_age stays eligible
     dag2 = Dag()
     v = make_vertex((dag2.genesis_id, dag2.genesis_id), "alice", 1, ())

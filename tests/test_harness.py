@@ -193,6 +193,12 @@ def test_trivial_run_matches_golden_fixture():
     assert got == golden
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 1e308])
+def test_validate_rejects_non_finite_horizon(horizon):
+    with pytest.raises(ConfigInvalid, match="visibility_horizon must be finite"):
+        SimConfig(visibility_horizon=horizon).validate()
+
+
 def test_bandwidth_estimates_exact():
     assert bandwidth_estimate(1000, 10, 100) == (332900, 60000)
     assert bandwidth_estimate(1, 1, 1) == (161, 6)
