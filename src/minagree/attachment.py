@@ -121,15 +121,13 @@ def select_parents(
     strategy: AttachmentStrategy,
     rng: random.Random,
     tips: Sequence[bytes] | None = None,
-    active_count: int | None = None,
 ) -> tuple[bytes, bytes]:
     """Pick the two parents for a new vertex among eligible tips.
 
     ``tips`` overrides the candidate pool (e.g. a delayed visibility
     snapshot); it must be duplicate-free and deterministically ordered,
-    since the random draws index into it.  ``active_count`` is the
-    vertex population the metropolis threshold is measured against,
-    defaulting to the dag's active count.
+    since the random draws index into it.  The metropolis threshold is
+    measured against the dag's active vertex count.
     """
     pool = list(tips) if tips is not None else dag.eligible_tips()
     if not pool:
@@ -145,8 +143,7 @@ def select_parents(
         return _max_union_pair(dag, pool)
 
     if kind == "metropolis":
-        total = active_count if active_count is not None else dag.active_count
-        needed = strategy.metropolis_threshold * total
+        needed = strategy.metropolis_threshold * dag.active_count
         for _ in range(strategy.metropolis_max_iters):
             pair = _random_pair(pool, rng)
             if dag.cover_cardinality(pair) >= needed:

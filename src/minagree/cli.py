@@ -48,6 +48,13 @@ def _as_int(value) -> int:
     return int(value)
 
 
+def _as_float(value) -> float:
+    # float() would read a JSON true as 1.0
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
 def _as_optional_int(value) -> int | None:
     if value is None or (isinstance(value, str) and value.lower() in ("none", "null", "")):
         return None
@@ -57,7 +64,7 @@ def _as_optional_int(value) -> int | None:
 # how a config value (JSON or --set text) is read, by field annotation
 _COERCERS = {
     int: _as_int,
-    float: float,
+    float: _as_float,
     Fraction: lambda value: Fraction(str(value)),
     int | None: _as_optional_int,
     str: str,

@@ -168,10 +168,10 @@ class Dag:
 
     # --- internal bookkeeping ---
 
-    def _store(self, vertex: Vertex, parents_mask: int) -> None:
+    def _index_vertex(self, vertex: Vertex, parents_mask: int) -> None:
+        """Give the vertex the next dense bit and add it to the masks."""
         vid = vertex.vertex_id
         bit = len(self._ids)
-        self.vertices[vid] = vertex
         self._index[vid] = bit
         self._ids.append(vid)
         own = 1 << bit
@@ -180,6 +180,11 @@ class Dag:
         get = tx_mask.get
         for txh in vertex.tx_hashes:
             tx_mask[txh] = get(txh, 0) | own
+
+    def _store(self, vertex: Vertex, parents_mask: int) -> None:
+        vid = vertex.vertex_id
+        self.vertices[vid] = vertex
+        self._index_vertex(vertex, parents_mask)
         for parent in vertex.parents:
             self.tip_set.discard(parent)
             self._stale.discard(parent)
@@ -198,14 +203,6 @@ class Dag:
     @property
     def active_count(self) -> int:
         return len(self.vertices)
-
-    def round_of(self, vertex_id: bytes) -> int:
-        vertex = self.vertices.get(vertex_id)
-        if vertex is not None:
-            return vertex.round
-        if vertex_id in self.boundary:
-            return self.boundary[vertex_id]
-        raise UnknownVertex(f"unknown vertex {vertex_id.hex()}")
 
     def is_stale(self, vertex_id: bytes) -> bool:
         return vertex_id in self._stale
@@ -363,16 +360,8 @@ class Dag:
         self._ids = []
         self._mask = {}
         self._tx_mask = {}
-        for vid, vertex in self.vertices.items():
-            bit = len(self._ids)
-            self._index[vid] = bit
-            self._ids.append(vid)
-            mask = 1 << bit
-            for parent in vertex.parents:
-                mask |= self._mask.get(parent, 0)
-            self._mask[vid] = mask
-            for txh in vertex.tx_hashes:
-                self._tx_mask[txh] = self._tx_mask.get(txh, 0) | (1 << bit)
+        for vertex in self.vertices.values():
+            self._index_vertex(vertex, self.cover_mask(vertex.parents))
         return self
 
     def ordered_transactions(self, roots) -> list[bytes]:

@@ -2,10 +2,11 @@
 
 One simulation executes a fixed number of block rounds on a single
 logical timeline: beacon advance, role draw, mempool injection,
-attachments, proposals, notarization, finalization two rounds back,
-block assembly, pruning and stale-tip discard.  Everything is derived
-from the configured seed; no wall clock or OS entropy enters anywhere,
-so identical configs give byte-identical reports.
+attachments, one proposal body (the block's content) signed by each
+ranked proposer, notarization, finalization two rounds back, pruning
+and stale-tip discard.  Everything is derived from the configured seed;
+no wall clock or OS entropy enters anywhere, so identical configs give
+byte-identical reports.
 
 Attachment visibility model: attachers take their one slot per round in
 a seeded random order.  A vertex placed in slot j reaches the attacher
@@ -22,8 +23,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from bisect import bisect_left
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 
 from .attachment import AttachmentStrategy, build_vertex, select_parents
@@ -50,10 +50,8 @@ from .rounds import (
     ZERO_HASH,
     ChainState,
     CoveragePolicy,
-    assemble_block,
     draw_roles,
     finalize,
-    finalized_with_assembly,
     make_proposal,
     next_seed,
     notarize_round,
@@ -218,32 +216,6 @@ class SimulationReport:
         }
 
 
-class _Frontier:
-    """Publicly unreferenced vertices (active or already settled).
-
-    Keeps the attachable frontier in ascending id order.  Applying a
-    vertex publication removes its parents (now referenced) and adds the
-    vertex itself.
-    """
-
-    def __init__(self, genesis_id: bytes) -> None:
-        self.ids: list[bytes] = [genesis_id]
-
-    def apply(self, vertex_id: bytes, parents) -> None:
-        index = bisect_left(self.ids, vertex_id)
-        if index >= len(self.ids) or self.ids[index] != vertex_id:
-            self.ids.insert(index, vertex_id)
-        for parent in set(parents):
-            index = bisect_left(self.ids, parent)
-            if index < len(self.ids) and self.ids[index] == parent:
-                self.ids.pop(index)
-
-    def drop(self, vertex_id: bytes) -> None:
-        index = bisect_left(self.ids, vertex_id)
-        if index < len(self.ids) and self.ids[index] == vertex_id:
-            self.ids.pop(index)
-
-
 def run_simulation(config: SimConfig) -> SimulationReport:
     """Execute the configured number of rounds and report per-round metrics.
 
@@ -269,7 +241,8 @@ def run_simulation(config: SimConfig) -> SimulationReport:
     dropped: set[bytes] = set()
     tx_counter = 0
 
-    frontier = _Frontier(dag.genesis_id)
+    # publicly unreferenced vertices, active or already settled
+    frontier = {dag.genesis_id}
     arrivals: dict[int, list[tuple[bytes, tuple[bytes, ...]]]] = {}
     appended_prev: list[bytes] = []
     rows: list[RoundRecord] = []
@@ -292,11 +265,13 @@ def run_simulation(config: SimConfig) -> SimulationReport:
 
         # vertices whose cross-round delay elapsed become public now
         for vid, parents in arrivals.pop(r, ()):
-            frontier.apply(vid, parents)
+            frontier.add(vid)
+            frontier.difference_update(parents)
 
-        base_pool = [v for v in frontier.ids if v in dag.vertices]
+        ordered_frontier = sorted(frontier)
+        base_pool = [v for v in ordered_frontier if v in dag.vertices]
         if not base_pool:
-            base_pool = list(frontier.ids)  # settled frontier keeps the chain alive
+            base_pool = ordered_frontier  # settled frontier keeps the chain alive
         mempool_list = list(mempool.values())
         order = list(ctx.attachers)
         rng.shuffle(order)
@@ -314,9 +289,7 @@ def run_simulation(config: SimConfig) -> SimulationReport:
                     removed.add(parents[-1])
             pool = [t for t in base_pool if t not in removed]
             pool += [v for v in adds if v not in removed]
-            parents = select_parents(
-                dag, config.strategy, rng, tips=pool, active_count=dag.active_count
-            )
+            parents = select_parents(dag, config.strategy, rng, tips=pool)
             vertex = build_vertex(dag, attacher, mempool_list, parents, r)
             dag.attach(vertex)
             appended.append(vertex.vertex_id)
@@ -331,19 +304,19 @@ def run_simulation(config: SimConfig) -> SimulationReport:
         targets = [vid for vid in appended_prev if vid in dag.vertices]
         body = proposal_body(dag, CoveragePolicy.cover_targets(targets), config.max_block_txs)
         proposals = [
-            make_proposal(dag, ctx, proposer, prev_hash, body=body)
+            make_proposal(ctx, proposer, prev_hash, body)
             for proposer in ctx.proposer_ranking[: config.n_proposers]
         ]
-        block = notarize_round(
-            proposals, ctx, mode="rank", lam=config.reward_policy.competitive_lambda, dag=dag
+        block = replace(
+            notarize_round(proposals, ctx, mode="rank"),
+            tx_list=body.tx_list,
+            carried_over=body.carried_over,
         )
-        tx_list, carried = assemble_block(dag, block.proposal, config.max_block_txs, order=body.order)
-        block = finalized_with_assembly(block, tx_list, carried)
         chain.add(block)
         finalize(chain, r)
 
         fees = 0
-        for txh in tx_list:
+        for txh in block.tx_list:
             if txh in settled:
                 continue
             settled.add(txh)
@@ -354,7 +327,7 @@ def run_simulation(config: SimConfig) -> SimulationReport:
         dag.prune_finalized(dag.cover_set(block.proposal.tip_set))
 
         limit = config.carryover_retry_limit
-        for txh in carried:
+        for txh in block.carried_over:
             if txh in settled or txh in dropped:
                 continue
             attempts = requeues.get(txh, 0) + 1
@@ -365,11 +338,11 @@ def run_simulation(config: SimConfig) -> SimulationReport:
                 requeues[txh] = attempts  # stays queued for new vertices
 
         if dag.discard_stale_tips(r, config.tip_discard_age):
-            for vid in [v for v in frontier.ids if dag.is_stale(v)]:
-                frontier.drop(vid)
+            frontier -= {v for v in frontier if dag.is_stale(v)}
 
         for slot, vid, parents in published:
-            frontier.apply(vid, parents)
+            frontier.add(vid)
+            frontier.difference_update(parents)
 
         # greedy_min_cover either covers every target or raises, so the
         # honest coverage ratio is exactly one (vacuously so at round 0)
@@ -381,7 +354,7 @@ def run_simulation(config: SimConfig) -> SimulationReport:
                 delta=delta,
                 fees=fees,
                 coverage=len(targets),
-                carried_over=len(carried),
+                carried_over=len(block.carried_over),
             )
         )
         history.append(

@@ -10,14 +10,17 @@ match the wire-format accounting.
 
 The engine advances one round at a time on a single logical timeline.
 Honest proposers of a round share one view of the DAG and one coverage
-policy, so they publish the same tip set, canonical transaction order
-and Merkle root: that body is built once per round and signed once per
-ranked proposer.
+policy, so they publish the same content.  :func:`proposal_body` builds
+it once per round: the tip set, its canonical transaction order split
+at the block cap by :func:`assemble_block`, and the Merkle root of the
+block's part.  :func:`make_proposal` only signs that body for one
+ranked proposer, and the notarized block carries the body's
+transaction list and carry-over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dag import HASH_BYTES, SIGNATURE_BYTES, Dag, _be8, _sha256
@@ -208,16 +211,31 @@ def censoring_tip_pool(dag: Dag, tx_hash: bytes) -> list[bytes]:
     return [t for t, mask in zip(tips, dag.tip_masks(tips)) if not mask & forbidden]
 
 
+def assemble_block(
+    order, max_block_txs: int | None = None
+) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """Split a canonical transaction order at the block cap.
+
+    Returns ``(tx_list, carried_over)``: the transactions the block
+    holds and the remainder to re-queue for later rounds.
+    """
+    if max_block_txs is None:
+        return tuple(order), ()
+    return tuple(order[:max_block_txs]), tuple(order[max_block_txs:])
+
+
 @dataclass(frozen=True)
 class ProposalBody:
     """The proposer-independent part of a proposal.
 
-    ``order`` is the full canonical transaction order of the tip set;
-    ``merkle_root`` commits to it truncated at the block cap.
+    ``tx_list`` is the canonical transaction order of the tip set cut at
+    the block cap and ``carried_over`` the remainder; ``merkle_root``
+    commits to ``tx_list``.
     """
 
     tip_set: tuple[bytes, ...]
-    order: tuple[bytes, ...]
+    tx_list: tuple[bytes, ...]
+    carried_over: tuple[bytes, ...]
     merkle_root: bytes
 
 
@@ -247,36 +265,24 @@ def proposal_body(
     else:
         raise ValueError(f"unknown coverage policy {policy.mode!r}")
 
-    order = dag.ordered_transactions(tips)
-    leaves = order if max_block_txs is None else order[:max_block_txs]
+    tx_list, carried_over = assemble_block(dag.ordered_transactions(tips), max_block_txs)
     return ProposalBody(
         tip_set=tuple(sorted(tips)),
-        order=tuple(order),
-        merkle_root=merkle_root(leaves),
+        tx_list=tx_list,
+        carried_over=carried_over,
+        merkle_root=merkle_root(tx_list),
     )
 
 
 def make_proposal(
-    dag: Dag,
     ctx: RoundContext,
     proposer_id: str,
     prev_block_hash: bytes,
-    policy: CoveragePolicy = CoveragePolicy(),
-    max_block_txs: int | None = None,
-    body: ProposalBody | None = None,
+    body: ProposalBody,
 ) -> Proposal:
-    """Placeholder-sign one proposer's tip set for the round.
-
-    The Merkle root commits to the canonical transaction order of the tip
-    set, truncated to ``max_block_txs`` when a block cap applies.
-    ``body`` is the round's :func:`proposal_body`, built once over this
-    dag, policy and cap and shared by every proposer; without it the
-    body is built here.
-    """
+    """Placeholder-sign one proposer's copy of the round's proposal body."""
     if proposer_id not in ctx.proposer_ranking:
         raise ValueError(f"{proposer_id!r} is not in this round's ranking")
-    if body is None:
-        body = proposal_body(dag, policy, max_block_txs)
     return Proposal(
         proposer_id=proposer_id,
         rank_index=ctx.proposer_ranking.index(proposer_id),
@@ -365,11 +371,6 @@ class ChainState:
             raise ForkDetected(f"two notarized blocks in round {block.round}")
         self.blocks[block.round] = block
 
-    def head(self) -> NotarizedBlock | None:
-        if not self.blocks:
-            return None
-        return self.blocks[max(self.blocks)]
-
 
 def finalize(chain: ChainState, current_round: int) -> list[NotarizedBlock]:
     """Finalize every notarized ancestor at least two rounds deep.
@@ -390,28 +391,3 @@ def finalize(chain: ChainState, current_round: int) -> list[NotarizedBlock]:
         chain.finalized_height = r
         r += 1
     return newly
-
-
-def assemble_block(
-    dag: Dag,
-    winner: Proposal,
-    max_block_txs: int | None = None,
-    order: tuple[bytes, ...] | None = None,
-) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-    """Expand the winning tip set into the block's transaction list.
-
-    Returns ``(tx_list, carried_over)``: the canonical order truncated at
-    the block cap, and the truncated remainder to re-queue for later
-    rounds.  ``order`` is that canonical order when the caller already
-    holds it (the winner's :class:`ProposalBody`); otherwise it is
-    computed from the dag.  Pruning the covered vertex set afterwards is
-    the caller's job.
-    """
-    txs = dag.ordered_transactions(winner.tip_set) if order is None else order
-    if max_block_txs is None:
-        return tuple(txs), ()
-    return tuple(txs[:max_block_txs]), tuple(txs[max_block_txs:])
-
-
-def finalized_with_assembly(block: NotarizedBlock, tx_list, carried_over) -> NotarizedBlock:
-    return replace(block, tx_list=tuple(tx_list), carried_over=tuple(carried_over))

@@ -122,7 +122,7 @@ def set_cover_censorship_cost(dag: Dag, target_tx, ctx, policy, mode: str = "sof
     """Censorship price from two explicit greedy set covers.
 
     Builds the honest and the censoring proposal's tip sets with
-    ``greedy_min_cover``, as ``make_proposal`` does, and counts what each
+    ``greedy_min_cover``, as ``proposal_body`` does, and counts what each
     covers; ``censorship_cost`` must agree without building either cover.
     """
     dag.vertices_containing(target_tx)

@@ -163,14 +163,13 @@ def test_metropolis_low_threshold_matches_random_distribution():
     dag, _ = grow_random_dag(random.Random(21), 12)
     tips = dag.tips()
     assert len(tips) >= 3
-    active = dag.active_count
     strategy = AttachmentStrategy("metropolis", metropolis_threshold=1e-9)
     draws = 10_000
     counts_m: dict = {}
     counts_r: dict = {}
     rng_m, rng_r = random.Random(500), random.Random(501)
     for _ in range(draws):
-        pm = tuple(sorted(select_parents(dag, strategy, rng_m, active_count=active)))
+        pm = tuple(sorted(select_parents(dag, strategy, rng_m)))
         pr = tuple(sorted(select_parents(dag, AttachmentStrategy("random"), rng_r)))
         counts_m[pm] = counts_m.get(pm, 0) + 1
         counts_r[pr] = counts_r.get(pr, 0) + 1

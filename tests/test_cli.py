@@ -339,6 +339,24 @@ def test_integer_keys_reject_bools_and_fractional_numbers(tmp_path, capsys, valu
     assert "bad value for 'n_blocks'" in err
 
 
+@pytest.mark.parametrize("key", ["metropolis_threshold", "visibility_horizon"])
+@pytest.mark.parametrize("value", [True, False], ids=["true", "false"])
+def test_float_keys_reject_bools(tmp_path, capsys, key, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert f"bad value for {key!r}" in err
+
+
+def test_float_keys_accept_numbers(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"metropolis_threshold": 1, "visibility_horizon": 0.5}))
+    config = build_sim_config(str(cfg), ["metropolis_threshold=0.25"])
+    assert (config.strategy.metropolis_threshold, config.visibility_horizon) == (0.25, 0.5)
+    assert build_sim_config(str(cfg), []).strategy.metropolis_threshold == 1.0
+
+
 def test_integer_keys_accept_integers(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"n_blocks": 4, "max_block_txs": 2.0, "seed": "9"}))

@@ -31,7 +31,6 @@ from minagree.rounds import (
     compute_block_hash,
     draw_roles,
     finalize,
-    finalized_with_assembly,
     greedy_min_cover,
     make_proposal,
     merkle_root,
@@ -210,7 +209,7 @@ def test_make_proposal_full_coverage_single_tip():
         dag.attach(v)
         prev = v.vertex_id
     ctx = _simple_ctx()
-    p = make_proposal(dag, ctx, ctx.proposer_ranking[0], ZERO_HASH)
+    p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag))
     assert p.tip_set == (prev,)
     assert dag.cover_set(p.tip_set) == set(dag.vertices)
     assert p.merkle_root == merkle_root(dag.ordered_transactions(p.tip_set))
@@ -219,7 +218,7 @@ def test_make_proposal_full_coverage_single_tip():
 def test_make_proposal_empty_policy():
     dag = Dag()
     ctx = _simple_ctx()
-    p = make_proposal(dag, ctx, ctx.proposer_ranking[0], ZERO_HASH, CoveragePolicy.empty())
+    p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, CoveragePolicy.empty()))
     assert p.tip_set == ()
     assert p.merkle_root == b"\x00" * 32
 
@@ -235,9 +234,9 @@ def test_make_proposal_censoring_avoids_target_coverage():
     clean = make_vertex((g, g), "clean", 1, (h32("ok"),))
     dag.attach(clean)
     ctx = _simple_ctx()
-    honest = make_proposal(dag, ctx, ctx.proposer_ranking[0], ZERO_HASH)
+    honest = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag))
     censoring = make_proposal(
-        dag, ctx, ctx.proposer_ranking[0], ZERO_HASH, CoveragePolicy.censoring(t_bad)
+        ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, CoveragePolicy.censoring(t_bad))
     )
     covered = dag.cover_set(censoring.tip_set)
     assert bad.vertex_id not in covered
@@ -254,7 +253,7 @@ def test_make_proposal_skips_stale_strands():
     dag.attach(stranded)
     dag.discard_stale_tips(current_round=12, max_age=10)
     ctx = _simple_ctx()
-    p = make_proposal(dag, ctx, ctx.proposer_ranking[0], ZERO_HASH)
+    p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag))
     assert p.tip_set == (live.vertex_id,)
     assert stranded.vertex_id not in dag.cover_set(p.tip_set)
 
@@ -265,7 +264,7 @@ def test_proposal_respects_block_cap_in_merkle():
     v = make_vertex((dag.genesis_id, dag.genesis_id), "a", 1, txs)
     dag.attach(v)
     ctx = _simple_ctx()
-    p = make_proposal(dag, ctx, ctx.proposer_ranking[0], ZERO_HASH, max_block_txs=3)
+    p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, CoveragePolicy(), 3))
     assert p.merkle_root == merkle_root(list(txs[:3]))
 
 
@@ -293,9 +292,13 @@ def test_shared_body_proposals_equal_independent_proposals(mode):
         ctx = _simple_ctx(stakers=5, round_no=trial)
         prev = h32(f"prev-{trial}")
         body = proposal_body(dag, policy, cap)
+        order = tuple(dag.ordered_transactions(body.tip_set))
+        assert body.tx_list + body.carried_over == order
+        assert body.tx_list == (order if cap is None else order[:cap])
+        assert body.merkle_root == merkle_root(body.tx_list)
         for proposer in ctx.proposer_ranking[:3]:
-            shared = make_proposal(dag, ctx, proposer, prev, body=body)
-            alone = make_proposal(dag, ctx, proposer, prev, policy, cap)
+            shared = make_proposal(ctx, proposer, prev, body)
+            alone = make_proposal(ctx, proposer, prev, proposal_body(dag, policy, cap))
             assert shared.proposer_id == alone.proposer_id == proposer
             assert shared.tip_set == alone.tip_set
             assert shared.merkle_root == alone.merkle_root
@@ -303,7 +306,8 @@ def test_shared_body_proposals_equal_independent_proposals(mode):
             assert shared.signature == alone.signature
             assert shared.prev_block_hash == alone.prev_block_hash == prev
             assert shared == alone
-            assert assemble_block(dag, shared, cap, order=body.order) == assemble_block(dag, alone, cap)
+            assembled = assemble_block(dag.ordered_transactions(alone.tip_set), cap)
+            assert assembled == (body.tx_list, body.carried_over)
 
 
 # --- notarization ---
@@ -450,7 +454,7 @@ def test_assemble_block_no_cap():
     txs = tuple(h32(f"t{i}") for i in range(5))
     v = make_vertex((dag.genesis_id, dag.genesis_id), "a", 1, txs)
     dag.attach(v)
-    tx_list, carried = assemble_block(dag, _proposal("p", 0, tips=(v.vertex_id,)))
+    tx_list, carried = assemble_block(dag.ordered_transactions((v.vertex_id,)))
     assert tx_list == txs
     assert carried == ()
 
@@ -460,15 +464,11 @@ def test_assemble_block_cap_carries_remainder():
     txs = tuple(h32(f"t{i}") for i in range(5))
     v = make_vertex((dag.genesis_id, dag.genesis_id), "a", 1, txs)
     dag.attach(v)
-    tx_list, carried = assemble_block(dag, _proposal("p", 0, tips=(v.vertex_id,)), max_block_txs=3)
+    tx_list, carried = assemble_block(dag.ordered_transactions((v.vertex_id,)), max_block_txs=3)
     assert tx_list == txs[:3]
     assert carried == txs[3:]
-    block = finalized_with_assembly(
-        NotarizedBlock(0, _proposal("p", 0), ("a",), h32("h")), tx_list, carried
-    )
-    assert block.tx_list == txs[:3] and block.carried_over == txs[3:]
 
 
 def test_assemble_block_empty_tip_set():
     dag = Dag()
-    assert assemble_block(dag, _proposal("p", 0)) == ((), ())
+    assert assemble_block(dag.ordered_transactions(())) == ((), ())
