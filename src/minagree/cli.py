@@ -94,6 +94,9 @@ def _config_keys() -> dict:
 
 
 CONFIG_KEYS = _config_keys()
+# the keys censorship_experiment reads: the seed plants the fees, the
+# reward keys set the price
+CENSORSHIP_KEYS = ("seed", "base_block_reward", "non_producer_share", "hard_alpha")
 
 
 def _load_config_file(path: str) -> dict:
@@ -109,11 +112,9 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def build_sim_config(config_path: str | None, overrides) -> SimConfig:
-    """Apply the config file, then key=value overrides, to ``SimConfig()``.
-
-    Unknown keys are rejected rather than ignored.
-    """
+def _read_settings(config_path: str | None, overrides) -> dict:
+    """Raw value of each key the config file, then the key=value
+    overrides, set.  Unknown keys are rejected rather than ignored."""
     settings = {}
     if config_path:
         for key, value in _load_config_file(config_path).items():
@@ -127,7 +128,12 @@ def build_sim_config(config_path: str | None, overrides) -> SimConfig:
         if key not in CONFIG_KEYS:
             raise ConfigInvalid(f"unknown override key {key!r}")
         settings[key] = value
+    return settings
 
+
+def build_sim_config(config_path: str | None, overrides) -> SimConfig:
+    """Apply the config file, then key=value overrides, to ``SimConfig()``."""
+    settings = _read_settings(config_path, overrides)
     top: dict = {}
     nested: dict = {}
     for key, (policy, name, coerce) in CONFIG_KEYS.items():
@@ -324,6 +330,13 @@ def run_cli(argv=None) -> int:
             if args.output:
                 _emit(render_bandwidth(dag_bytes, compact_bytes, args.format), args.output)
         elif args.command == "censorship":
+            settings = _read_settings(args.config, args.overrides)
+            ignored = [key for key in settings if key not in CENSORSHIP_KEYS]
+            if ignored:
+                raise ConfigInvalid(
+                    f"censorship does not read {', '.join(map(repr, ignored))}; "
+                    f"it reads only {', '.join(CENSORSHIP_KEYS)}"
+                )
             config = build_sim_config(args.config, args.overrides)
             rows = censorship_experiment(config, _parse_depths(args.depths))
             _emit(render_censorship(rows, args.format), args.output)

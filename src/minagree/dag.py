@@ -158,7 +158,6 @@ class Dag:
         self.boundary: dict[bytes, int] = {}
         self.tip_set: set[bytes] = set()
         self._stale: set[bytes] = set()
-        self._index: dict[bytes, int] = {}
         self._ids: list[bytes] = []
         self._mask: dict[bytes, int] = {}
         self._tx_mask: dict[bytes, int] = {}
@@ -171,10 +170,8 @@ class Dag:
     def _index_vertex(self, vertex: Vertex, parents_mask: int) -> None:
         """Give the vertex the next dense bit and add it to the masks."""
         vid = vertex.vertex_id
-        bit = len(self._ids)
-        self._index[vid] = bit
+        own = 1 << len(self._ids)
         self._ids.append(vid)
-        own = 1 << bit
         self._mask[vid] = own | parents_mask
         tx_mask = self._tx_mask
         get = tx_mask.get
@@ -203,9 +200,6 @@ class Dag:
     @property
     def active_count(self) -> int:
         return len(self.vertices)
-
-    def is_stale(self, vertex_id: bytes) -> bool:
-        return vertex_id in self._stale
 
     def tips(self) -> list[bytes]:
         """Active vertices with no in-coming edge, ascending by id."""
@@ -256,9 +250,13 @@ class Dag:
         return tuple([tx.tx_hash for tx in transactions if not get(tx.tx_hash, 0) & cover_mask])
 
     def own_bit(self, vertex_id: bytes) -> int | None:
-        """Single-bit mask for one active vertex, or None if not active."""
-        index = self._index.get(vertex_id)
-        return None if index is None else 1 << index
+        """Single-bit mask for one active vertex, or None if not active.
+
+        Bits are allocated in topological order, so a vertex's own bit is
+        the highest bit of its cover mask.
+        """
+        mask = self._mask.get(vertex_id)
+        return None if mask is None else 1 << (mask.bit_length() - 1)
 
     # --- mutation ---
 
@@ -356,7 +354,6 @@ class Dag:
             self._stale.discard(vid)
         # Rebuild the dense bit indices over the survivors.  Insertion
         # order of self.vertices is topological, so one pass suffices.
-        self._index = {}
         self._ids = []
         self._mask = {}
         self._tx_mask = {}

@@ -3,8 +3,8 @@
 One simulation executes a fixed number of block rounds on a single
 logical timeline: beacon advance, role draw, mempool injection,
 attachments, one proposal body (the block's content) signed by each
-ranked proposer, notarization, finalization two rounds back, pruning
-and stale-tip discard.  Everything is derived from the configured seed;
+ranked proposer, notarization, finalization two rounds back and
+pruning.  Everything is derived from the configured seed;
 no wall clock or OS entropy enters anywhere, so identical configs give
 byte-identical reports.
 
@@ -127,7 +127,6 @@ class SimConfig:
     n_proposers: int = 3
     strategy: AttachmentStrategy = AttachmentStrategy("random")
     n_blocks: int = 100
-    tip_discard_age: int = 10
     mempool_rate: int = 8
     delay_model: DelayModel = DelayModel()
     reward_policy: RewardPolicy = RewardPolicy()
@@ -142,7 +141,6 @@ class SimConfig:
             "committee_size": self.committee_size,
             "n_proposers": self.n_proposers,
             "n_blocks": self.n_blocks,
-            "tip_discard_age": self.tip_discard_age,
         }
         for name, value in counts.items():
             if value < 1:
@@ -195,7 +193,6 @@ class _ReportRow:
 class RoundRecord(_ReportRow):
     round: int
     proposal_size: int
-    delta: Fraction
     fees: int
     coverage: int
     carried_over: int
@@ -219,11 +216,10 @@ class SimulationReport:
 def run_simulation(config: SimConfig) -> SimulationReport:
     """Execute the configured number of rounds and report per-round metrics.
 
-    Each round's winning proposal targets every still-active vertex
+    Each round's winning proposal covers every still-active vertex
     appended in the previous round; its cover is pruned as soon as the
-    block is assembled, so consecutive blocks never overlap.  The
-    reported coverage ratio is covered targets over targets (vacuously 1
-    in the bootstrap round).
+    block is assembled, so consecutive blocks never overlap and no tip
+    outlives the round after its own.
     """
     config.validate()
 
@@ -263,7 +259,8 @@ def run_simulation(config: SimConfig) -> SimulationReport:
             all_txs[tx.tx_hash] = tx
             mempool[tx.tx_hash] = tx
 
-        # vertices whose cross-round delay elapsed become public now
+        # a vertex becomes public the round after its own, or once its
+        # cross-round delay has elapsed
         for vid, parents in arrivals.pop(r, ()):
             frontier.add(vid)
             frontier.difference_update(parents)
@@ -276,6 +273,7 @@ def run_simulation(config: SimConfig) -> SimulationReport:
         order = list(ctx.attachers)
         rng.shuffle(order)
 
+        # this round's undelayed vertices, gossiped to the later slots
         published: list[tuple[int, bytes, tuple[bytes, ...]]] = []
         appended: list[bytes] = []
         for i, attacher in enumerate(order):
@@ -296,8 +294,7 @@ def run_simulation(config: SimConfig) -> SimulationReport:
             delay = config.delay_model.draw(rng)
             if delay == 0:
                 published.append((i, vertex.vertex_id, vertex.parents))
-            else:
-                arrivals.setdefault(r + delay, []).append((vertex.vertex_id, vertex.parents))
+            arrivals.setdefault(r + max(delay, 1), []).append((vertex.vertex_id, vertex.parents))
 
         # proposals target the previous round's still-active vertices; the
         # ranked proposers share this view and policy, so one body serves all
@@ -337,21 +334,10 @@ def run_simulation(config: SimConfig) -> SimulationReport:
             else:
                 requeues[txh] = attempts  # stays queued for new vertices
 
-        if dag.discard_stale_tips(r, config.tip_discard_age):
-            frontier -= {v for v in frontier if dag.is_stale(v)}
-
-        for slot, vid, parents in published:
-            frontier.add(vid)
-            frontier.difference_update(parents)
-
-        # greedy_min_cover either covers every target or raises, so the
-        # honest coverage ratio is exactly one (vacuously so at round 0)
-        delta = Fraction(1)
         rows.append(
             RoundRecord(
                 round=r,
                 proposal_size=len(block.proposal.tip_set),
-                delta=delta,
                 fees=fees,
                 coverage=len(targets),
                 carried_over=len(block.carried_over),
@@ -364,7 +350,9 @@ def run_simulation(config: SimConfig) -> SimulationReport:
                 producer_id=block.proposal.proposer_id,
                 attacher_ids=ctx.attachers,
                 committee_ids=ctx.committee,
-                delta=delta,
+                # greedy_min_cover either covers every target or raises, so
+                # the honest coverage ratio is exactly one
+                delta=Fraction(1),
             )
         )
         appended_prev = appended
@@ -430,11 +418,11 @@ def table1_experiment(
 ) -> list[Table1Cell]:
     """Mean winning-proposal size per (strategy, attacher count) cell.
 
-    Every cell runs the full round pipeline with zero cross-round delay,
-    a 10-round tip discard age and an empty mempool (proposal sizes do
-    not depend on transaction load), on a seed derived independently per
-    cell.  Cells are independent and may be evaluated in parallel as
-    long as the output keeps this row order.
+    Every cell runs the full round pipeline with zero cross-round delay
+    and an empty mempool (proposal sizes do not depend on transaction
+    load), on a seed derived independently per cell.  Cells are
+    independent and may be evaluated in parallel as long as the output
+    keeps this row order.
     """
     cells = []
     for strategy in strategies:
@@ -453,7 +441,6 @@ def table1_experiment(
                 n_proposers=1,
                 strategy=strategy,
                 n_blocks=n_blocks,
-                tip_discard_age=10,
                 mempool_rate=0,
                 visibility_horizon=visibility_horizon,
             )

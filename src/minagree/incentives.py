@@ -40,13 +40,11 @@ class RewardPolicy:
     non_producer_share: Fraction = Fraction(0)
     decouple_window: int = 1
     hard_alpha: Fraction = Fraction(1, 2)
-    competitive_lambda: Fraction = Fraction(1, 2)
     committee_share: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "non_producer_share", _as_fraction(self.non_producer_share))
         object.__setattr__(self, "hard_alpha", _as_fraction(self.hard_alpha))
-        object.__setattr__(self, "competitive_lambda", _as_fraction(self.competitive_lambda))
         object.__setattr__(self, "committee_share", _as_fraction(self.committee_share))
         if self.base_block_reward < 0:
             raise InvalidFraction("base_block_reward must be non-negative")
@@ -56,8 +54,6 @@ class RewardPolicy:
             raise InvalidFraction("decouple_window must be >= 1")
         if not 0 <= self.hard_alpha <= 1:
             raise InvalidFraction("hard_alpha must be in [0, 1]")
-        if self.competitive_lambda < 0:
-            raise InvalidFraction("competitive_lambda must be non-negative")
         if not 0 <= self.committee_share <= 1:
             raise InvalidFraction("committee_share must be in [0, 1]")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from minagree.attachment import AttachmentStrategy
-from minagree.cli import CONFIG_KEYS, build_sim_config, run_cli
+from minagree.cli import CENSORSHIP_KEYS, CONFIG_KEYS, build_sim_config, run_cli
 from minagree.errors import ConfigInvalid
 from minagree.harness import DelayModel, SimConfig
 from minagree.incentives import RewardPolicy
@@ -72,7 +72,7 @@ def test_simulate_csv_shape(tmp_path, capsys):
     )
     assert code == 0
     rows = list(csv.reader(out_file.read_text().splitlines()))
-    assert rows[0] == ["round", "proposal_size", "delta", "fees", "coverage", "carried_over"]
+    assert rows[0] == ["round", "proposal_size", "fees", "coverage", "carried_over"]
     assert len(rows) == 7
     assert [r[0] for r in rows[1:]] == [str(i) for i in range(6)]
 
@@ -90,7 +90,6 @@ def test_simulate_json_csv_value_parity(tmp_path, capsys):
     for json_row, csv_row in zip(payload["rows"], csv_rows):
         for key in ("round", "proposal_size", "fees", "coverage", "carried_over"):
             assert json_row[key] == int(csv_row[key])
-        assert json_row["delta"] == float(csv_row["delta"])
 
 
 def test_table1_grid_row_count(tmp_path, capsys):
@@ -131,7 +130,6 @@ def test_censorship_csv(tmp_path, capsys):
     out_file = tmp_path / "c.csv"
     code, _, _ = run(
         capsys, "censorship", "--depths", "0-3",
-        "--set", "n_stakers=4", "--set", "n_attachers=2", "--set", "committee_size=3",
         "-o", str(out_file),
     )
     assert code == 0
@@ -141,6 +139,32 @@ def test_censorship_csv(tmp_path, capsys):
     costs = [float(r[1]) for r in rows[1:]]
     assert costs == sorted(costs)
     assert set(r[2] for r in rows[1:]) <= {"true", "false"}
+
+
+IGNORED_BY_CENSORSHIP = [key for key in CONFIG_KEYS if key not in CENSORSHIP_KEYS]
+
+
+@pytest.mark.parametrize("key", IGNORED_BY_CENSORSHIP)
+def test_censorship_rejects_keys_it_does_not_read(tmp_path, capsys, key):
+    # the default value is valid, so only the key itself can be at fault
+    policy, name, _ = CONFIG_KEYS[key]
+    owner = getattr(SimConfig(), policy) if policy else SimConfig()
+    text = _cli_text(getattr(owner, name))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 3, key: text}))
+    for source in (["--set", f"{key}={text}"], ["--config", str(cfg)]):
+        code, out, err = run(capsys, "censorship", "--depths", "0-1", *source)
+        assert (code, out) == (2, "")
+        assert f"censorship does not read {key!r}" in err
+
+
+def test_censorship_accepts_the_keys_it_reads(capsys):
+    argv = ["censorship", "--depths", "0-2"]
+    for key, text in zip(CENSORSHIP_KEYS, ["3", "10", "1/4", "2/3"], strict=True):
+        argv += ["--set", f"{key}={text}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 3
 
 
 def test_censorship_rejects_reversed_depth_range(capsys):
@@ -202,7 +226,6 @@ DEFAULT_CONFIG_DICT = {
     "n_proposers": 3,
     "strategy": {"kind": "random", "metropolis_threshold": 0.5, "metropolis_max_iters": 32},
     "n_blocks": 100,
-    "tip_discard_age": 10,
     "mempool_rate": 8,
     "delay_model": "none",
     "reward_policy": {
@@ -210,7 +233,6 @@ DEFAULT_CONFIG_DICT = {
         "non_producer_share": "0",
         "decouple_window": 1,
         "hard_alpha": "1/2",
-        "competitive_lambda": "1/2",
         "committee_share": "0",
     },
     "max_block_txs": None,
@@ -229,7 +251,6 @@ def test_cli_defaults_are_pinned():
         n_proposers=3,
         strategy=AttachmentStrategy("random", metropolis_threshold=0.5, metropolis_max_iters=32),
         n_blocks=100,
-        tip_discard_age=10,
         mempool_rate=8,
         delay_model=DelayModel("none"),
         reward_policy=RewardPolicy(
@@ -237,7 +258,6 @@ def test_cli_defaults_are_pinned():
             non_producer_share=Fraction(0),
             decouple_window=1,
             hard_alpha=Fraction(1, 2),
-            competitive_lambda=Fraction(1, 2),
             committee_share=Fraction(0),
         ),
         max_block_txs=None,
@@ -260,14 +280,12 @@ OVERRIDES = [
     ("metropolis_threshold", "0.25", ("strategy", "metropolis_threshold"), 0.25),
     ("metropolis_max_iters", "8", ("strategy", "metropolis_max_iters"), 8),
     ("n_blocks", "9", ("n_blocks",), 9),
-    ("tip_discard_age", "4", ("tip_discard_age",), 4),
     ("mempool_rate", "0", ("mempool_rate",), 0),
     ("delay_model", "fixed:2", ("delay_model",), DelayModel("fixed", 2)),
     ("base_block_reward", "50", ("reward_policy", "base_block_reward"), 50),
     ("non_producer_share", "1/4", ("reward_policy", "non_producer_share"), Fraction(1, 4)),
     ("decouple_window", "3", ("reward_policy", "decouple_window"), 3),
     ("hard_alpha", "2/3", ("reward_policy", "hard_alpha"), Fraction(2, 3)),
-    ("competitive_lambda", "1", ("reward_policy", "competitive_lambda"), Fraction(1)),
     ("committee_share", "1/10", ("reward_policy", "committee_share"), Fraction(1, 10)),
     ("max_block_txs", "12", ("max_block_txs",), 12),
     ("visibility_horizon", "0.5", ("visibility_horizon",), 0.5),
@@ -304,7 +322,7 @@ def test_config_keys_are_the_fields_in_declaration_order():
     "argv,header",
     [
         (["simulate", "--set", "n_blocks=2"],
-         "round,proposal_size,delta,fees,coverage,carried_over"),
+         "round,proposal_size,fees,coverage,carried_over"),
         (["table1", "--blocks", "2", "--sizes", "4", "--strategies", "random"],
          "strategy,n_vertices,mean_proposal_size,stddev,n_blocks,seed"),
         (["censorship", "--depths", "0-1"], "depth,soft_cost,hard_feasible"),

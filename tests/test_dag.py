@@ -264,6 +264,26 @@ def test_cover_oracle_survives_pruning():
         assert set(dag.tips()) == in_degree_zero(dag)
 
 
+def test_own_bit_matches_bfs_oracle_as_grown_and_after_pruning():
+    rng = random.Random(77)
+    for _ in range(20):
+        dag, _ = grow_random_dag(rng, rng.randrange(1, 30))
+        for pruned in (False, True):
+            if pruned:
+                dag.prune_finalized(dag.cover_set((rng.choice(list(dag.vertices)),)))
+            active = list(dag.vertices)
+            bits = [dag.own_bit(u) for u in active]
+            assert all(bit.bit_count() == 1 for bit in bits)
+            assert len(set(bits)) == len(bits)
+            for v in active:
+                mask = dag.cover_mask([v])
+                reach = bfs_cover(dag, [v])
+                for u, bit in zip(active, bits):
+                    assert bool(mask & bit) == (u in reach)
+        assert dag.boundary
+        assert all(dag.own_bit(marker) is None for marker in dag.boundary)
+
+
 def test_ordered_transactions_is_permutation_and_repeatable():
     rng = random.Random(8)
     dag, ids = grow_random_dag(rng, 25, txs_per_vertex=2)

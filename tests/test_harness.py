@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from minagree.attachment import AttachmentStrategy
+from minagree.dag import Dag
 from minagree.errors import ConfigInvalid
 from minagree.harness import (
     CensorshipRow,
@@ -47,7 +48,6 @@ def test_trivial_single_actor_run():
     assert len(report.rows) == 5
     assert len(report.chain.blocks) == 5
     assert report.aggregates["finalized_height"] == 2  # lag two: 3 blocks final
-    assert all(row.delta == 1 for row in report.rows)
 
 
 def test_reports_are_byte_identical_across_runs():
@@ -142,6 +142,33 @@ def test_each_strategy_completes(kind):
     assert len(report.rows) == 10
 
 
+@pytest.mark.parametrize("cap", [None, 5], ids=["uncapped", "cap5"])
+@pytest.mark.parametrize("delay", ["none", "fixed:2", "uniform:3"])
+@pytest.mark.parametrize("kind", ["random", "joint_cardinality", "metropolis", "greedy"])
+def test_no_tip_outlives_its_round(monkeypatch, kind, delay, cap):
+    # every vertex of round r-1 is a target of round r and is pruned with
+    # its block, so a tip can never age enough for a stale discard
+    prune = Dag.prune_finalized
+    rounds_seen = []
+
+    def checked_prune(dag, cover):
+        prune(dag, cover)
+        r = len(rounds_seen)
+        rounds_seen.append(r)
+        assert all(dag.vertices[tip].round == r for tip in dag.tip_set)
+        return dag
+
+    monkeypatch.setattr(Dag, "prune_finalized", checked_prune)
+    config = SimConfig(
+        strategy=AttachmentStrategy(kind),
+        delay_model=DelayModel.parse(delay),
+        max_block_txs=cap,
+        n_blocks=20,
+    )
+    run_simulation(config)
+    assert rounds_seen == list(range(config.n_blocks))
+
+
 def test_delay_model_parsing():
     assert DelayModel.parse("none") == DelayModel()
     assert DelayModel.parse("fixed:2") == DelayModel("fixed", 2)
@@ -203,84 +230,84 @@ def test_trivial_run_matches_golden_fixture():
 # delayed and capped runs reach the cross-round arrival and carry-over paths
 REPORT_DIGESTS = {
     "random": {
-        ("none", None, 0): "3d6ef3a08aa445f768f556bec72e35165a3ba9914876a6583040afbe8e1e01e5",
-        ("none", None, 1): "54be9b38eadc828a036246ca85161cf9c1583b3c9761bf6cd13410cbbf135202",
-        ("none", None, 2.5): "e1bb158f1d7cb8667cea8966dcd050f771f38a811fdba760bd64db1d56a1f834",
-        ("none", 5, 0): "5964a8b5b0c8d9cf75a41cea82976fd35c86245c51e064595c24e71eacdf9eb3",
-        ("none", 5, 1): "04e8ce58cf1ced33a90baf9701914d90bc1b7d5b455b130267e4cbf103252354",
-        ("none", 5, 2.5): "4cd406619925510bea6e1155433fbed9b78fa5d7f17e4699a2d3c283b6f0960b",
-        ("fixed:2", None, 0): "68402ead1deb3cb9e0a5abdd35f5e71e7f007c011ca2f57fbc6b81717b5a5387",
-        ("fixed:2", None, 1): "8836430a9d14a26de357709712ef4c0b2009fb83663148c1790e6c3b5612e985",
-        ("fixed:2", None, 2.5): "836b1c01bdfb467849d689af4e679f9d27091b08af314bce8dbf230edb773c2b",
-        ("fixed:2", 5, 0): "36fb613ab50a387e5741e9839daeb76d4ef87b773e1a4343a9f8067cb1de9e68",
-        ("fixed:2", 5, 1): "108286b46964821aa6f676c76dcae571138b821241ce94791b7945b409644b5e",
-        ("fixed:2", 5, 2.5): "f081f9f3622a56e2fc514c22795d06300ba556e0f84ad7f0d5dbc31144ea8071",
-        ("uniform:3", None, 0): "a7aaa5508e8bda103907e3d5ab6636b39667705871da2f414a896d89aa994b98",
-        ("uniform:3", None, 1): "2b8717a3300839ba8b939d97b9cf400c3f9f1a7de51916280005a33c7e32cbdb",
-        ("uniform:3", None, 2.5): "ed33eb5fa6aff6a9b12140a2c58ecbecf0f51d53552c9be8bcdb7afe64c5547b",
-        ("uniform:3", 5, 0): "12a784b09758b3fabf9f5f449801021c1d1d0c1fbc2031c78d9d9dc50a659de0",
-        ("uniform:3", 5, 1): "af55ff1bf6a97a531aa3a19095212fc83ce193100863dd608796f041cd17ef49",
-        ("uniform:3", 5, 2.5): "6476921fd76a9d2468785879cc35d8f4fe040f71b2f779b2b9acf6f045ca6076",
+        ("none", None, 0): "a3e84eb9e12b59dcd78181ab3aa42b2fa28379133132c6cb27a6646bc948759a",
+        ("none", None, 1): "61845ccd09d281c85d82326938cba2fe24d640d4d578c3b5d4662c704810703d",
+        ("none", None, 2.5): "4553d7bcfd9d16f966aa0a47804156782fd8198ec202ea2015d9e2e1e2da9e4c",
+        ("none", 5, 0): "89e51154eaf86d33d8e8fcf9f589b53b7a46d79a5c2ae6b503752399083886dc",
+        ("none", 5, 1): "db35fffcc4c3a364e9b5c716ce7e21954d663a3f60a4d013f105cfa68e915276",
+        ("none", 5, 2.5): "d2c4c2acc8029927a9b61ae4519cd527c51a8f070ea5d178b4ff1c290714d07f",
+        ("fixed:2", None, 0): "16a92e160a87be70d16d60382c0770697ae9ea355ed2e0dcee60b3dcce406c25",
+        ("fixed:2", None, 1): "0c568e2cf5c81f123a8ecf7b231fc0ab7ff986dedb1711a200faafd64a93735e",
+        ("fixed:2", None, 2.5): "cba97c74bd1374aae2f1cd9712546242591e465d1d3cb779ddf794166e99d704",
+        ("fixed:2", 5, 0): "083ec8f3818305aa95e9e47186d753d59ff82d85ffe37192dfc5647158b7a9c6",
+        ("fixed:2", 5, 1): "64a1c99fccb75e46de7c306865e221cbf9952b9ac7c50734ea62f6ae5bc826ff",
+        ("fixed:2", 5, 2.5): "cd2baabbb43024c47df8d42a116da247b02af200c14fd7d286ef0f9061e2f2c3",
+        ("uniform:3", None, 0): "fa591048d26036a57617f41e6f5b53892e6465460cc868d6d7c251ad40ff18e7",
+        ("uniform:3", None, 1): "5edbdcbf6d1930a90dd2be3556ab00a5c4e1430c05157076d714a4622a39681a",
+        ("uniform:3", None, 2.5): "65fc23665eabb21eeeae14dd9577f7cb2bd88f4c7b33d6a7bbc98f1109b979e0",
+        ("uniform:3", 5, 0): "e42fc2d67ea193cfa591c64f23c735511c70b65a2e485c4a6bbdf37b5ca65937",
+        ("uniform:3", 5, 1): "44b22ba9449e9b46a29c697835b0781259e8d68088a95af66f0fd7c7a617b307",
+        ("uniform:3", 5, 2.5): "6adcdf61ae59a1137ee48d463d133c821477a4d92795defcb49e2e3fe37d63e6",
     },
     "joint_cardinality": {
-        ("none", None, 0): "4fd28ec0a8049f018fd9e88f40b7709aaec468bb7dfca91f2f65cf772479a960",
-        ("none", None, 1): "ed1815e11c62a34b129478ba95630f20f9e932b1bb4289abce7a27ec05b89a1e",
-        ("none", None, 2.5): "3639791642a8f9422fe4c391a41fe5736fcaad072c7ec1b1df8de46ea505b622",
-        ("none", 5, 0): "1df304ed359edda0128626c4258e18d43b432e8d4366cba97eeb81edd63e367a",
-        ("none", 5, 1): "85f2c761cb71273393664069dc9a737114df3e732195fbffc6d509eee314b55f",
-        ("none", 5, 2.5): "1d25c482636e8425ff67c7a12ec27406cf2cfb11af451087ddcb231640000eca",
-        ("fixed:2", None, 0): "ab1adbee5003294f40ba3c7486f245d7d18f2f6195b895a1b99fe590223dbaab",
-        ("fixed:2", None, 1): "a7987c15d5f2d2d73640e7e0d51ed294f8e7e8c40a7199d14b3878a176854bcd",
-        ("fixed:2", None, 2.5): "2efd84000b7b2879c27f0b8a64e93ada30e3fbe8410b653f3c48cb0c230d0bab",
-        ("fixed:2", 5, 0): "bbfe3ed6e4efff648206e93f5f4089af924ec24b52ea4f06f7d15f7f0ad2e178",
-        ("fixed:2", 5, 1): "446c5cb6f847134d83cebfc6410128dd4e37227429019b7682f9440615578c64",
-        ("fixed:2", 5, 2.5): "c6d49aa294d780a901dfa3112bb70e2252e6fe80b0af85149bc96165779a8622",
-        ("uniform:3", None, 0): "ead57ab38cf5f3d59a8ddd7dcc743d2b5234af57d33aef5f013df09afc65f00d",
-        ("uniform:3", None, 1): "3acd34485e9af3c40a80e1b7a038d4b1ff19655bf8548d3c06e3a2075ed7b23c",
-        ("uniform:3", None, 2.5): "21cd3e28763f7c6b1e84b23e630cf6dc3eba0b70e73e1b236a6d9fcdb274a89b",
-        ("uniform:3", 5, 0): "17dee610b4435f535e313e4d423821b77293ecfa5bd1b45f2609d5128f6d97d4",
-        ("uniform:3", 5, 1): "f778f245f10d2b2ce1d737f3deff4da4573f8dd1eee28bcb8841267c87ab0c3d",
-        ("uniform:3", 5, 2.5): "772e27e901d6e9006ec11379928afc6039653ef3c0208478fc8261f04632510d",
+        ("none", None, 0): "3d67a7a476b674874ab1a83799c8a56512b8ebf69f86db0ae2cd711d3559da06",
+        ("none", None, 1): "be0a15ecce419bde4be033b1f518d6c6c173494d5efbbafed2ee111c7e0fc1de",
+        ("none", None, 2.5): "48286c05885e098701ca31c3ed0edd44ff8263a4ed18215fca3c4510e11d0781",
+        ("none", 5, 0): "1f5884f871d9d95e1a66a2c6d1bd54db20c85783160e46568df07a038ab22ef8",
+        ("none", 5, 1): "bdc0fd633e53a1776cbbe15ff5735ee9810c57b60a4bd629eb42f30b6d2becb2",
+        ("none", 5, 2.5): "b48201d2f2237b02bc3a717cdb46f469b07d869b41908c0a9b59e4886183b774",
+        ("fixed:2", None, 0): "eb47a2d4aa6b86110e3c2a34827fc059413dfab3ad333392f3fa23e25228294d",
+        ("fixed:2", None, 1): "3653a0ea254e67df2c5de0c28a88fb3a2d2f28aa2c3a1fa4727b00b74b790ce0",
+        ("fixed:2", None, 2.5): "559b773546ebeb3990bc4a79a2745060f8e5a6a8d138423dd5320b7bcbedfb19",
+        ("fixed:2", 5, 0): "9b31278fee929b737bc414b02f0495a450df6238073e145962e1b96444b612ae",
+        ("fixed:2", 5, 1): "6faf1a02f2adf4c7b661df7e90a47457f310a9f0abd56e1360bbc45b222dbd79",
+        ("fixed:2", 5, 2.5): "abddf15313e3c5591102664c56463cbedd86fbc18c05504a8f41cf6aea2be97c",
+        ("uniform:3", None, 0): "acef89fb3a3f31dfa9c677c923064b7a0145fce5c75e35f4742cc149ea53e077",
+        ("uniform:3", None, 1): "a1875cec300af09abda741dcde35a1ece81ac0d4cb84b246a610c333939ac460",
+        ("uniform:3", None, 2.5): "87d083da3c76d77d998022fa3ca9c80fa53de780143bbffc38b93713a7060a78",
+        ("uniform:3", 5, 0): "3bc71d7c8dd90caeea85b27cdcfbadb972fc3f4199a16dffa57c8eb55c25b7d1",
+        ("uniform:3", 5, 1): "5454284ac02d2f8ab5f2bd5cc7ea71058b35dddf9896eb1ce0e2a6fb9069512f",
+        ("uniform:3", 5, 2.5): "1fa59f401128f3a49052f2ce6420afba48f01bbfeed48f17637f4b5b61b568f8",
     },
     "metropolis": {
-        ("none", None, 0): "a5aafc2d937fda44f4f11d738c0502939b59e8d31689927f11f617d6b6dc9507",
-        ("none", None, 1): "582d1807b0d23efd71a2158ab40915c5479c1fd38553cd35c5f0ff31137d326a",
-        ("none", None, 2.5): "62c151ac6391a3be840f24e5db5f87a7744f0d01962e3d3a2d1967a8a77cf70a",
-        ("none", 5, 0): "77f9f7f57d766184b5d4f21c51f8a520e84578a5306ecc95130440208f54b09e",
-        ("none", 5, 1): "c7775b1e8096c6ee439502e2739d8de5b9b661c50b961b09ab49c072dfe6d32f",
-        ("none", 5, 2.5): "85ca1d2d720d3c5b7754d455186914e47f64b64d19446a9ccf3a69186b862b22",
-        ("fixed:2", None, 0): "fe44251d427a16a628e033f3a1f3b8e176a3a2ec1fc5bcf0c358af1040d61993",
-        ("fixed:2", None, 1): "ed992b5ebcdb5b6df60e72895d778807931a2ec6b82ff4ceb5d03b980fbff0a8",
-        ("fixed:2", None, 2.5): "32cb73fd58f26797fe709caf67b0f3ab93fb3504232daf8c4aab09749cc5ec66",
-        ("fixed:2", 5, 0): "049b73bd8da6285d2350488f1ff2ecefbe9d637053b02509d5a60da6c35b97be",
-        ("fixed:2", 5, 1): "fd06f32a6d047fe440195cc6f958a611a7d79f5b37e586cd65a59c789f891fe5",
-        ("fixed:2", 5, 2.5): "36ecbab210820d2773bb3d9508d8398efeafcf2a74013206ec0680493c841540",
-        ("uniform:3", None, 0): "c823ea5868bdf30ab279bd53243bc0cea776097171d31e8e6cba28f579ba0d10",
-        ("uniform:3", None, 1): "9137f75d3914f1e53c9558c20ef66167a0507a0928ef939fd21ba611769030da",
-        ("uniform:3", None, 2.5): "d26fe01bc5bd6fab5914ff1975508921fdf8c0e5ef39397ef246412eb1a19c5d",
-        ("uniform:3", 5, 0): "69b6b9efd82f8a70dd16e18d5b218c1b55d3c9fdde0b76a87f5def3740353bb5",
-        ("uniform:3", 5, 1): "9a298373e13f56ca9924fc85345df7e05cebcd6ed5c25aad0cecc9db692a6ea6",
-        ("uniform:3", 5, 2.5): "844750f7e5fce3275a4eef2b6fdd5fcd40994d9b3468b75a62bc4e6d75e563ee",
+        ("none", None, 0): "8e581f846b561c483cba79109e8492d14a9ed1b7448820ff2142a90d08bc7033",
+        ("none", None, 1): "8d54e8d328f06b7e9e8bf049ec622ecf47d81499e7dbda292a1b3485145dc5f8",
+        ("none", None, 2.5): "768ddc3e8cc279975f13d2e6917b06ed9132c1d1882e4971eb7a494a0e59c616",
+        ("none", 5, 0): "91aad75c1e572a34edc1f7fee8916f2e55d674356b4ad860164cc5c3449c8df2",
+        ("none", 5, 1): "a516dc70afb55da559da04f13b27b74693538fc4b41b9d8a13dfd11e1e6df8f2",
+        ("none", 5, 2.5): "1fbbd5172969e5ede1a077c09a5d4e8150a3ff608b986319a82c94a6f102bc5f",
+        ("fixed:2", None, 0): "000f48ed73979922ea71b967f8ea28a870dd3826cf36df372d163174590a84d8",
+        ("fixed:2", None, 1): "75d10f057aa3bf4520a2f8a840f2f6afecb93c23144c0f71e10e798291c70cbe",
+        ("fixed:2", None, 2.5): "9d0ad78a2109561341626cb2b060c633583abe2858d1bd786e2904ddbb5365ba",
+        ("fixed:2", 5, 0): "9cdd1f383cc8b02aff3ac264f02f9657f01bd3f88d646da9c83569a2ef4c63cd",
+        ("fixed:2", 5, 1): "87c703a720e49cdc03d7f2b2db6c0e00d085c4be3752611a6fe288331ff060b0",
+        ("fixed:2", 5, 2.5): "37f3abd61bdd47086add5a1e8216a40b8fa6829c03cbe66bd5fac024254163f2",
+        ("uniform:3", None, 0): "0636f52a07e479ac700de15be44de76828f80cc26dc044547fe2ea9b0f848757",
+        ("uniform:3", None, 1): "e01403c934eb7eff343678337a81c7aaadb5e36ebec5ccb4bf760d56261033f5",
+        ("uniform:3", None, 2.5): "1606e26aee76b15380c2e6d625399c4c019f9d966dc16b536b228ee0cbc8e71c",
+        ("uniform:3", 5, 0): "4ce2ffd72d09b5142af5660c3a80db6328223a3cb51c709b932e265016612299",
+        ("uniform:3", 5, 1): "c18ee9d5a32d89d7051e948da9096b9bfb9b27dcf10e564944ce425b12db3049",
+        ("uniform:3", 5, 2.5): "c06eb49f385a7600cffe725a65e87b70667fecc5fac6da1a2cda334fbc9fd37a",
     },
     "greedy": {
-        ("none", None, 0): "d4b63ecc21a8f9ceb2cd714f98e84099b63eb28c2e4fc20d8c1a3ec9f2849402",
-        ("none", None, 1): "1227b2f97cd8989d9aaeabd2140b40fb4282401219473eb53f596f658b8b264c",
-        ("none", None, 2.5): "557053b3dace87d441e1d8f8c9fa18d942e5aa51ba3eab2053d3404ff99f1a1b",
-        ("none", 5, 0): "4896cf743f05585687e583b7a3064626a5122b30f5ef698e00e36e434cc579cc",
-        ("none", 5, 1): "fae7a8d44703bcef6179e4199ea50f0d27d4f6d9bc07a6efe10d259570480f43",
-        ("none", 5, 2.5): "3c562b2c89c7e0a2b81d0ef89410d6e85d3ab2475706b73595f23433942b463f",
-        ("fixed:2", None, 0): "981839fa8bc13380cf54bf72565b80df1427760a385b2919eac59bc2c3994e02",
-        ("fixed:2", None, 1): "3caabe6492e5470ed813e9c4d47cf93cdf1efe6d7a1f3b4d1d7f326e29f88d49",
-        ("fixed:2", None, 2.5): "b366ea288be2cc354dd01453290e7ed15a6421a385e15c80223f5b08a06c4e2e",
-        ("fixed:2", 5, 0): "cab2b0b222a79a7d3dce4586314f3c96356d4f476820d87c98b770c345e679eb",
-        ("fixed:2", 5, 1): "d8a7337fd964728860a802175f971e30a0e5326163093ca054cf1b8a0e9d6e0d",
-        ("fixed:2", 5, 2.5): "e0897084d492f90ab384d4cd14e78d74fc4eb61e0b38be60ec3f62d638ff72cc",
-        ("uniform:3", None, 0): "79864c28333fd2006e71beb4dcce0790f872fad05722358b5d74e59e6f5a63eb",
-        ("uniform:3", None, 1): "aa4b244aa0b8d3d38eced5b1ec8c6ddc130e55805aed13896edee7996d2100d9",
-        ("uniform:3", None, 2.5): "bc16d0093889ade4825ec348402d1e1f116f41681a3027571d4b3666bcda78be",
-        ("uniform:3", 5, 0): "0f793bdcb91815940453a70421e1b97de7ba308c3d8257c455f1d9813556e53f",
-        ("uniform:3", 5, 1): "9f91e1e5e111a35baaaada91aefca51cb8fce15d0c0c5082decfb8eb8f38c286",
-        ("uniform:3", 5, 2.5): "44a984ed1b5d863f8900752eddec8bb128ecd5ee5b1fba87a82f9b3d88d56741",
+        ("none", None, 0): "312cf7a49f3537f441028f0bac7ffecbfac169d0417633930f810111bc716074",
+        ("none", None, 1): "fad79935899835b08aba9368e98302dd21ce080f54b7bc0cd8a9f5db15d46f09",
+        ("none", None, 2.5): "ebd20c7eb367622d12fa94c43beb0ab48226c1840847fb44e928b8c5c8504196",
+        ("none", 5, 0): "e24b0c8eca692b5fe22c32945533be1be6047ebf4c411e55655e090bdf5e5063",
+        ("none", 5, 1): "c4b32382daff54032b9c2a9cf986136b68718151d9dd89297d71264cea146ce6",
+        ("none", 5, 2.5): "dc35426dc1befc51d6aa1a0103d76767acc70ad92df673421650ed92e7b4afd2",
+        ("fixed:2", None, 0): "f789ca18686d002ec4294428397efc6dad76a87aa427deb8aec199550874c2b3",
+        ("fixed:2", None, 1): "39ef84f81ad61632f702da6f6311d86a0184a756637c7389559219b176a77ad8",
+        ("fixed:2", None, 2.5): "b68cbc24d5a0788f5d853c325e36a39f1e3a7e51923d4fda06b55eed986a4075",
+        ("fixed:2", 5, 0): "75c008eb26e41807efb9a678acab3dd728e9e4ff2e2ae3e1a2067f044362437f",
+        ("fixed:2", 5, 1): "0b357694fddbcfc959ad7116f661a596785ef46bc60b54d518ac1ff5ee9078dd",
+        ("fixed:2", 5, 2.5): "b1277eb5872b97a9ba0f58bd616f78e468a54903a639c922a65b44d1a56d7f2a",
+        ("uniform:3", None, 0): "41d1ae708c7835691c591ef1c5ba9b20b6a6385fe124097ed14aceb7731d649b",
+        ("uniform:3", None, 1): "316417e772f6a3beccc9364e27f2518af1332fe839ef76774af92e2ff70d56dd",
+        ("uniform:3", None, 2.5): "1c851f33b70aba066be33b56fda21fad592749e1b1208364eed60fab7f8adfae",
+        ("uniform:3", 5, 0): "0fa378ec0085f2c51d52f7be1980a00526277f58b0bb0cfb80f7f20e1567c843",
+        ("uniform:3", 5, 1): "a0e77289ca627e3d4f18e83b4897f4838ef4b605ec4deb542399638b922cdb4c",
+        ("uniform:3", 5, 2.5): "83447ade1642aa11ed206fbe4070f70a6967cdaefbe43d4a95793481d4eb9787",
     },
 
 }
