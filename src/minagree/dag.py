@@ -77,7 +77,6 @@ class Vertex:
     attacher_id: str
     round: int
     tx_hashes: tuple[bytes, ...]
-    signature: bytes
     vertex_id: bytes = field(init=False)
 
     def __post_init__(self) -> None:
@@ -85,8 +84,6 @@ class Vertex:
             raise ValueError("a non-genesis vertex has exactly two parents")
         if self.round < 0:
             raise ValueError("round must be non-negative")
-        if len(self.signature) != SIGNATURE_BYTES:
-            raise ValueError(f"signature must be {SIGNATURE_BYTES} bytes")
         for h in self.parents:
             if len(h) != HASH_BYTES:
                 raise ValueError("parent references must be 32-byte hashes")
@@ -109,27 +106,18 @@ class Vertex:
         )
 
 
-def vertex_signature(attacher_id: str, round_no: int) -> bytes:
-    """Deterministic 65-byte stand-in for a recoverable signature."""
-    attacher = attacher_id.encode("utf-8")
-    a = _sha256(b"vertex-sig-a", _be4(len(attacher)), attacher, _be8(round_no))
-    b = _sha256(b"vertex-sig-b", _be4(len(attacher)), attacher, _be8(round_no))
-    return a + b + b"\x01"
-
-
 def make_vertex(
     parents: tuple[bytes, bytes],
     attacher_id: str,
     round_no: int,
     tx_hashes: tuple[bytes, ...] = (),
 ) -> Vertex:
-    """Build a vertex with canonical parent order and a placeholder signature."""
+    """Build a vertex with canonical parent order."""
     return Vertex(
         parents=tuple(sorted(parents)),
         attacher_id=attacher_id,
         round=round_no,
         tx_hashes=tuple(tx_hashes),
-        signature=vertex_signature(attacher_id, round_no),
     )
 
 
@@ -139,7 +127,6 @@ def genesis_vertex() -> Vertex:
         attacher_id=GENESIS_ATTACHER,
         round=0,
         tx_hashes=(),
-        signature=b"\x00" * SIGNATURE_BYTES,
     )
 
 

@@ -1,12 +1,12 @@
 """Deterministic round orchestration and the desk-scale experiments.
 
 One simulation executes a fixed number of block rounds on a single
-logical timeline: beacon advance, role draw, mempool injection,
-attachments, one proposal body (the block's content) signed by each
-ranked proposer, notarization, finalization two rounds back and
-pruning.  Everything is derived from the configured seed;
-no wall clock or OS entropy enters anywhere, so identical configs give
-byte-identical reports.
+logical timeline.  After the beacon advance and role draw, each round
+runs five phases: inject (mempool), attach (one vertex per attacher),
+propose (one body for the ranked proposers, notarization, finality two
+rounds back), settle (fees, then pruning) and requeue (carry-over).
+Everything derives from the configured seed and no wall clock or OS
+entropy enters, so identical configs give byte-identical reports.
 
 Attachment visibility model: attachers take their one slot per round in
 a seeded random order.  A vertex placed in slot j reaches the attacher
@@ -50,6 +50,8 @@ from .rounds import (
     ZERO_HASH,
     ChainState,
     CoveragePolicy,
+    NotarizedBlock,
+    RoundContext,
     draw_roles,
     finalize,
     make_proposal,
@@ -160,6 +162,8 @@ class SimConfig:
             raise ConfigInvalid("visibility_horizon must be finite")
         if self.carryover_retry_limit is not None and self.carryover_retry_limit < 0:
             raise ConfigInvalid("carryover_retry_limit must be >= 0 when set")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigInvalid(f"seed must be in [0, 2**64), got {self.seed}")
 
     def to_dict(self) -> dict:
         return _plain(self)
@@ -213,128 +217,40 @@ class SimulationReport:
         }
 
 
-def run_simulation(config: SimConfig) -> SimulationReport:
-    """Execute the configured number of rounds and report per-round metrics.
+class _Run:
+    """The state one simulation carries across rounds; :meth:`round` runs one round's phases."""
 
-    Each round's winning proposal covers every still-active vertex
-    appended in the previous round; its cover is pruned as soon as the
-    block is assembled, so consecutive blocks never overlap and no tip
-    outlives the round after its own.
-    """
-    config.validate()
+    def __init__(self, config: SimConfig) -> None:
+        self.config = config
+        self.dag = Dag()
+        self.chain = ChainState()
+        self.rng = random.Random(config.seed)
+        self.stakers = tuple(f"node-{i:05d}" for i in range(config.n_stakers))
+        self.seed = ZERO_HASH
+        self.prev_hash = ZERO_HASH
+        self.all_txs: dict[bytes, Transaction] = {}
+        self.mempool: dict[bytes, Transaction] = {}
+        self.requeues: dict[bytes, int] = {}
+        self.settled: set[bytes] = set()
+        self.dropped: set[bytes] = set()
+        # publicly unreferenced vertices, active or already settled
+        self.frontier = {self.dag.genesis_id}
+        self.arrivals: dict[int, list[tuple[bytes, tuple[bytes, ...]]]] = {}
+        self.rows: list[RoundRecord] = []
+        self.history: list[RoundEconomics] = []
+        self.horizon = max(1, round(config.visibility_horizon * config.n_attachers))
 
-    dag = Dag()
-    chain = ChainState()
-    rng = random.Random(config.seed)
-    stakers = tuple(f"node-{i:05d}" for i in range(config.n_stakers))
-    seed = ZERO_HASH
-    prev_hash = ZERO_HASH
-
-    all_txs: dict[bytes, Transaction] = {}
-    mempool: dict[bytes, Transaction] = {}
-    requeues: dict[bytes, int] = {}
-    settled: set[bytes] = set()
-    dropped: set[bytes] = set()
-    tx_counter = 0
-
-    # publicly unreferenced vertices, active or already settled
-    frontier = {dag.genesis_id}
-    arrivals: dict[int, list[tuple[bytes, tuple[bytes, ...]]]] = {}
-    appended_prev: list[bytes] = []
-    rows: list[RoundRecord] = []
-    history: list[RoundEconomics] = []
-    horizon = max(1, round(config.visibility_horizon * config.n_attachers))
-
-    for r in range(config.n_blocks):
-        seed = next_seed(seed, r)
-        ctx = draw_roles(seed, stakers, config.n_attachers, config.committee_size, round_no=r)
-
-        for _ in range(config.mempool_rate):
-            tx_counter += 1
-            tx = Transaction(
-                tx_hash=_sha256(b"tx", seed, _be8(tx_counter)),
-                fee=_geometric_fee(rng),
-                sender_id=f"user-{tx_counter:06d}",
-            )
-            all_txs[tx.tx_hash] = tx
-            mempool[tx.tx_hash] = tx
-
-        # a vertex becomes public the round after its own, or once its
-        # cross-round delay has elapsed
-        for vid, parents in arrivals.pop(r, ()):
-            frontier.add(vid)
-            frontier.difference_update(parents)
-
-        ordered_frontier = sorted(frontier)
-        base_pool = [v for v in ordered_frontier if v in dag.vertices]
-        if not base_pool:
-            base_pool = ordered_frontier  # settled frontier keeps the chain alive
-        mempool_list = list(mempool.values())
-        order = list(ctx.attachers)
-        rng.shuffle(order)
-
-        # this round's undelayed vertices, gossiped to the later slots
-        published: list[tuple[int, bytes, tuple[bytes, ...]]] = []
-        appended: list[bytes] = []
-        for i, attacher in enumerate(order):
-            removed: set[bytes] = set()
-            adds: list[bytes] = []
-            for slot, vid, parents in published:
-                age = i - slot
-                if age >= horizon or rng.random() < age / horizon:
-                    adds.append(vid)
-                    removed.add(parents[0])
-                    removed.add(parents[-1])
-            pool = [t for t in base_pool if t not in removed]
-            pool += [v for v in adds if v not in removed]
-            parents = select_parents(dag, config.strategy, rng, tips=pool)
-            vertex = build_vertex(dag, attacher, mempool_list, parents, r)
-            dag.attach(vertex)
-            appended.append(vertex.vertex_id)
-            delay = config.delay_model.draw(rng)
-            if delay == 0:
-                published.append((i, vertex.vertex_id, vertex.parents))
-            arrivals.setdefault(r + max(delay, 1), []).append((vertex.vertex_id, vertex.parents))
-
-        # proposals target the previous round's still-active vertices; the
-        # ranked proposers share this view and policy, so one body serves all
-        targets = [vid for vid in appended_prev if vid in dag.vertices]
-        body = proposal_body(dag, CoveragePolicy.cover_targets(targets), config.max_block_txs)
-        proposals = [
-            make_proposal(ctx, proposer, prev_hash, body)
-            for proposer in ctx.proposer_ranking[: config.n_proposers]
-        ]
-        block = replace(
-            notarize_round(proposals, ctx, mode="rank"),
-            tx_list=body.tx_list,
-            carried_over=body.carried_over,
-        )
-        chain.add(block)
-        finalize(chain, r)
-
-        fees = 0
-        for txh in block.tx_list:
-            if txh in settled:
-                continue
-            settled.add(txh)
-            dropped.discard(txh)  # a sibling copy may settle a dropped tx
-            mempool.pop(txh, None)
-            fees += all_txs[txh].fee
-
-        dag.prune_finalized(dag.cover_set(block.proposal.tip_set))
-
-        limit = config.carryover_retry_limit
-        for txh in block.carried_over:
-            if txh in settled or txh in dropped:
-                continue
-            attempts = requeues.get(txh, 0) + 1
-            if limit is not None and attempts > limit:
-                dropped.add(txh)
-                mempool.pop(txh, None)
-            else:
-                requeues[txh] = attempts  # stays queued for new vertices
-
-        rows.append(
+    def round(self, r: int) -> None:
+        self.seed = next_seed(self.seed, r)
+        ctx = draw_roles(self.seed, self.stakers, self.config.n_attachers, self.config.committee_size, r)
+        self.inject()
+        # the previous prune left only last round's vertices, and at first the genesis, active
+        targets = [vid for vid in self.dag.vertices if vid != self.dag.genesis_id]
+        self.attach(ctx)
+        block = self.propose(ctx, targets)
+        fees = self.settle(block)
+        self.requeue(block)
+        self.rows.append(
             RoundRecord(
                 round=r,
                 proposal_size=len(block.proposal.tip_set),
@@ -343,7 +259,7 @@ def run_simulation(config: SimConfig) -> SimulationReport:
                 carried_over=len(block.carried_over),
             )
         )
-        history.append(
+        self.history.append(
             RoundEconomics(
                 round=r,
                 fees=fees,
@@ -355,33 +271,137 @@ def run_simulation(config: SimConfig) -> SimulationReport:
                 delta=Fraction(1),
             )
         )
-        appended_prev = appended
-        prev_hash = block.block_hash
 
-    ledger = distribute_rewards(
-        LedgerAccounts(), history, config.reward_policy, config.n_blocks - 1
-    )
-    sizes = [row.proposal_size for row in rows]
-    aggregates = {
-        "mean_proposal_size": float(statistics.fmean(sizes)),
-        "stddev_proposal_size": float(statistics.pstdev(sizes)),
-        "finalized_height": chain.finalized_height,
-        "total_fees_collected": sum(row.fees for row in rows),
-        "total_txs_injected": tx_counter,
-        "total_txs_settled": len(settled),
-        "total_txs_dropped": len(dropped),
-        "mempool_remaining": len(mempool),
-        "active_vertices": dag.active_count,
-        "balances": {node: bal for node, bal in sorted(ledger.balances.items()) if bal},
-        "reward_residual": str(ledger.residual),
-        "final_block_hash": prev_hash.hex(),
-    }
-    return SimulationReport(
-        config=config.to_dict(),
-        rows=rows,
-        aggregates=aggregates,
-        chain=chain,
-    )
+    def inject(self) -> None:
+        for _ in range(self.config.mempool_rate):
+            n = len(self.all_txs) + 1
+            tx = Transaction(
+                tx_hash=_sha256(b"tx", self.seed, _be8(n)),
+                fee=_geometric_fee(self.rng),
+                sender_id=f"user-{n:06d}",
+            )
+            self.all_txs[tx.tx_hash] = tx
+            self.mempool[tx.tx_hash] = tx
+
+    def attach(self, ctx: RoundContext) -> None:
+        """Deliver due arrivals, then attach one vertex per attacher in shuffled slot order."""
+        dag, rng, arrivals, horizon = self.dag, self.rng, self.arrivals, self.horizon
+        strategy, delay_model, r = self.config.strategy, self.config.delay_model, ctx.round
+        # a vertex becomes public the round after its own, or once its
+        # cross-round delay has elapsed
+        for vid, parents in arrivals.pop(r, ()):
+            self.frontier.add(vid)
+            self.frontier.difference_update(parents)
+        ordered_frontier = sorted(self.frontier)
+        base_pool = [v for v in ordered_frontier if v in dag.vertices]
+        if not base_pool:
+            base_pool = ordered_frontier  # settled frontier keeps the chain alive
+        mempool_list = list(self.mempool.values())
+        order = list(ctx.attachers)
+        rng.shuffle(order)
+        # this round's undelayed vertices, gossiped to the later slots
+        published: list[tuple[int, bytes, tuple[bytes, ...]]] = []
+        for i, attacher in enumerate(order):
+            removed: set[bytes] = set()
+            adds: list[bytes] = []
+            for slot, vid, parents in published:
+                age = i - slot
+                if age >= horizon or rng.random() < age / horizon:
+                    adds.append(vid)
+                    removed.add(parents[0])
+                    removed.add(parents[-1])
+            pool = [t for t in base_pool if t not in removed]
+            pool += [v for v in adds if v not in removed]
+            parents = select_parents(dag, strategy, rng, tips=pool)
+            vertex = build_vertex(dag, attacher, mempool_list, parents, r)
+            dag.attach(vertex)
+            delay = delay_model.draw(rng)
+            if delay == 0:
+                published.append((i, vertex.vertex_id, vertex.parents))
+            arrivals.setdefault(r + max(delay, 1), []).append((vertex.vertex_id, vertex.parents))
+
+    def propose(self, ctx: RoundContext, targets: list[bytes]) -> NotarizedBlock:
+        """Notarize and chain one block over the targets, from the body all ranked proposers share."""
+        body = proposal_body(self.dag, CoveragePolicy.cover_targets(targets), self.config.max_block_txs)
+        proposals = [
+            make_proposal(ctx, proposer, self.prev_hash, body)
+            for proposer in ctx.proposer_ranking[: self.config.n_proposers]
+        ]
+        block = replace(
+            notarize_round(proposals, ctx, mode="rank"),
+            tx_list=body.tx_list,
+            carried_over=body.carried_over,
+        )
+        self.chain.add(block)
+        finalize(self.chain, ctx.round)
+        self.prev_hash = block.block_hash
+        return block
+
+    def settle(self, block: NotarizedBlock) -> int:
+        """Settle the block's transactions and prune its cover; returns its fees."""
+        fees = 0
+        for txh in block.tx_list:
+            if txh in self.settled:
+                continue
+            self.settled.add(txh)
+            self.dropped.discard(txh)  # a sibling copy may settle a dropped tx
+            self.mempool.pop(txh, None)
+            fees += self.all_txs[txh].fee
+        self.dag.prune_finalized(self.dag.cover_set(block.proposal.tip_set))
+        return fees
+
+    def requeue(self, block: NotarizedBlock) -> None:
+        limit = self.config.carryover_retry_limit
+        for txh in block.carried_over:
+            if txh in self.settled or txh in self.dropped:
+                continue
+            attempts = self.requeues.get(txh, 0) + 1
+            if limit is not None and attempts > limit:
+                self.dropped.add(txh)
+                self.mempool.pop(txh, None)
+            else:
+                self.requeues[txh] = attempts  # stays queued for new vertices
+
+    def report(self) -> SimulationReport:
+        ledger = distribute_rewards(
+            LedgerAccounts(), self.history, self.config.reward_policy, self.config.n_blocks - 1
+        )
+        sizes = [row.proposal_size for row in self.rows]
+        aggregates = {
+            "mean_proposal_size": float(statistics.fmean(sizes)),
+            "stddev_proposal_size": float(statistics.pstdev(sizes)),
+            "finalized_height": self.chain.finalized_height,
+            "total_fees_collected": sum(row.fees for row in self.rows),
+            "total_txs_injected": len(self.all_txs),
+            "total_txs_settled": len(self.settled),
+            "total_txs_dropped": len(self.dropped),
+            "mempool_remaining": len(self.mempool),
+            "active_vertices": self.dag.active_count,
+            "balances": {node: bal for node, bal in sorted(ledger.balances.items()) if bal},
+            "reward_residual": str(ledger.residual),
+            "final_block_hash": self.prev_hash.hex(),
+        }
+        return SimulationReport(
+            config=self.config.to_dict(),
+            rows=self.rows,
+            aggregates=aggregates,
+            chain=self.chain,
+        )
+
+
+def run_simulation(config: SimConfig) -> SimulationReport:
+    """Execute the configured number of rounds and report per-round metrics.
+
+    Each round's winning proposal covers every still-active vertex
+    appended in the previous round; its cover is pruned as soon as the
+    block is assembled, so consecutive blocks never overlap and no
+    vertex outlives the round after its own.
+    """
+    config.validate()
+    run = _Run(config)
+    for r in range(config.n_blocks):
+        run.round(r)
+    return run.report()
 
 
 def bandwidth_estimate(n_tps: int, t_block: int, n_vertices: int) -> tuple[int, int]:
@@ -424,6 +444,8 @@ def table1_experiment(
     independent and may be evaluated in parallel as long as the output
     keeps this row order.
     """
+    if not 0 <= seed < 2**64:
+        raise ConfigInvalid(f"seed must be in [0, 2**64), got {seed}")
     cells = []
     for strategy in strategies:
         if not isinstance(strategy, AttachmentStrategy):

@@ -5,17 +5,16 @@ registry into proposers, draws the attacher set and the notarization
 committee.  At the end of the round the highest-ranked proposers publish
 tip sets; the committee notarizes one winner, which becomes final two
 rounds later.  Real threshold cryptography is out of scope: the beacon is
-a seeded hash chain and signatures are fixed-size placeholders, sized to
-match the wire-format accounting.
+a seeded hash chain, and proposals and vertices carry no signatures.
 
 The engine advances one round at a time on a single logical timeline.
 Honest proposers of a round share one view of the DAG and one coverage
 policy, so they publish the same content.  :func:`proposal_body` builds
 it once per round: the tip set, its canonical transaction order split
 at the block cap by :func:`assemble_block`, and the Merkle root of the
-block's part.  :func:`make_proposal` only signs that body for one
-ranked proposer, and the notarized block carries the body's
-transaction list and carry-over.
+block's part.  :func:`make_proposal` only stamps that body with one
+ranked proposer's identity and rank, and the notarized block carries
+the body's transaction list and carry-over.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dag import HASH_BYTES, SIGNATURE_BYTES, Dag, _be8, _sha256
+from .dag import HASH_BYTES, Dag, _be8, _sha256
 from .errors import (
     EmptyDag,
     ForkDetected,
@@ -179,7 +178,6 @@ class Proposal:
     tip_set: tuple[bytes, ...]
     prev_block_hash: bytes
     merkle_root: bytes
-    signature: bytes
 
     def proposal_hash(self) -> bytes:
         proposer = self.proposer_id.encode("utf-8")
@@ -193,13 +191,6 @@ class Proposal:
             self.prev_block_hash,
             self.merkle_root,
         )
-
-
-def _proposal_signature(proposer_id: str, round_no: int) -> bytes:
-    proposer = proposer_id.encode("utf-8")
-    a = _sha256(b"proposal-sig-a", _be8(len(proposer)), proposer, _be8(round_no))
-    b = _sha256(b"proposal-sig-b", _be8(len(proposer)), proposer, _be8(round_no))
-    return (a + b + b"\x01")[:SIGNATURE_BYTES]
 
 
 def censoring_tip_pool(dag: Dag, tx_hash: bytes) -> list[bytes]:
@@ -280,7 +271,7 @@ def make_proposal(
     prev_block_hash: bytes,
     body: ProposalBody,
 ) -> Proposal:
-    """Placeholder-sign one proposer's copy of the round's proposal body."""
+    """One ranked proposer's copy of the round's proposal body."""
     if proposer_id not in ctx.proposer_ranking:
         raise ValueError(f"{proposer_id!r} is not in this round's ranking")
     return Proposal(
@@ -289,7 +280,6 @@ def make_proposal(
         tip_set=body.tip_set,
         prev_block_hash=prev_block_hash,
         merkle_root=body.merkle_root,
-        signature=_proposal_signature(proposer_id, ctx.round),
     )
 
 

@@ -401,6 +401,30 @@ def test_non_finite_horizon_exits_2(capsys, argv):
     assert "visibility_horizon must be finite" in err
 
 
+# seeds are hashed as 8 big-endian bytes, so each command takes 0 <= seed < 2**64
+SEED_ARGV = {
+    "simulate": lambda seed: ["simulate", "--set", f"seed={seed}", "--set", "n_blocks=2"],
+    "table1": lambda seed: ["table1", "--seed", str(seed), "--sizes", "4", "--blocks", "2"],
+    "censorship": lambda seed: ["censorship", "--set", f"seed={seed}", "--depths", "0-1"],
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+@pytest.mark.parametrize("command", sorted(SEED_ARGV))
+def test_out_of_range_seed_exits_2(capsys, command, seed):
+    code, out, err = run(capsys, *SEED_ARGV[command](seed))
+    assert (code, out) == (2, "")
+    assert "seed must be in [0, 2**64)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(SEED_ARGV))
+def test_largest_seed_runs(capsys, command):
+    code, out, err = run(capsys, *SEED_ARGV[command](2**64 - 1))
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_table1_rejects_empty_sizes(capsys):
     code, out, err = run(capsys, "table1", "--sizes", ",")
     assert (code, out) == (2, "")

@@ -6,8 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minagree.attachment import AttachmentStrategy
+from minagree.attachment import STRATEGY_NAMES, AttachmentStrategy
 from minagree.dag import Dag
 from minagree.errors import ConfigInvalid
 from minagree.harness import (
@@ -142,23 +144,30 @@ def test_each_strategy_completes(kind):
     assert len(report.rows) == 10
 
 
-@pytest.mark.parametrize("cap", [None, 5], ids=["uncapped", "cap5"])
-@pytest.mark.parametrize("delay", ["none", "fixed:2", "uniform:3"])
-@pytest.mark.parametrize("kind", ["random", "joint_cardinality", "metropolis", "greedy"])
-def test_no_tip_outlives_its_round(monkeypatch, kind, delay, cap):
-    # every vertex of round r-1 is a target of round r and is pruned with
-    # its block, so a tip can never age enough for a stale discard
+def _checked_prune(rounds_seen: list):
+    """Dag.prune_finalized that then asserts that every active vertex
+    belongs to the round of this prune, the n-th prune being round n."""
     prune = Dag.prune_finalized
-    rounds_seen = []
 
     def checked_prune(dag, cover):
         prune(dag, cover)
         r = len(rounds_seen)
         rounds_seen.append(r)
-        assert all(dag.vertices[tip].round == r for tip in dag.tip_set)
+        assert all(vertex.round == r for vertex in dag.vertices.values())
         return dag
 
-    monkeypatch.setattr(Dag, "prune_finalized", checked_prune)
+    return checked_prune
+
+
+@pytest.mark.parametrize("cap", [None, 5], ids=["uncapped", "cap5"])
+@pytest.mark.parametrize("delay", ["none", "fixed:2", "uniform:3"])
+@pytest.mark.parametrize("kind", ["random", "joint_cardinality", "metropolis", "greedy"])
+def test_no_tip_outlives_its_round(monkeypatch, kind, delay, cap):
+    # every vertex of round r-1 is a target of round r and is pruned with
+    # its block, so no vertex, tips included, outlives the round after its
+    # own; run_simulation takes each round's targets from this invariant
+    rounds_seen = []
+    monkeypatch.setattr(Dag, "prune_finalized", _checked_prune(rounds_seen))
     config = SimConfig(
         strategy=AttachmentStrategy(kind),
         delay_model=DelayModel.parse(delay),
@@ -167,6 +176,61 @@ def test_no_tip_outlives_its_round(monkeypatch, kind, delay, cap):
     )
     run_simulation(config)
     assert rounds_seen == list(range(config.n_blocks))
+
+
+@st.composite
+def small_configs(draw):
+    n_stakers = draw(st.integers(1, 8))
+    shares = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    return SimConfig(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        n_stakers=n_stakers,
+        n_attachers=draw(st.integers(1, n_stakers)),
+        committee_size=draw(st.integers(1, n_stakers)),
+        n_proposers=draw(st.integers(1, 3)),
+        strategy=AttachmentStrategy(draw(st.sampled_from(STRATEGY_NAMES))),
+        n_blocks=draw(st.integers(1, 12)),
+        mempool_rate=draw(st.integers(0, 12)),
+        delay_model=DelayModel.parse(draw(st.sampled_from(["none", "fixed:1", "fixed:3", "uniform:2"]))),
+        reward_policy=RewardPolicy(
+            base_block_reward=draw(st.integers(0, 20)),
+            non_producer_share=draw(shares),
+            decouple_window=draw(st.integers(1, 5)),
+            committee_share=draw(shares),
+        ),
+        max_block_txs=draw(st.none() | st.integers(0, 8)),
+        visibility_horizon=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+        carryover_retry_limit=draw(st.none() | st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_configs())
+def test_run_simulation_invariants(config):
+    # patched in the body: a function-scoped monkeypatch would span examples
+    prune = Dag.prune_finalized
+    rounds_seen = []
+    Dag.prune_finalized = _checked_prune(rounds_seen)
+    try:
+        report = run_simulation(config)
+    finally:
+        Dag.prune_finalized = prune
+
+    agg = report.aggregates
+    blocks = [report.chain.blocks[r] for r in range(config.n_blocks)]
+    assert rounds_seen == list(range(config.n_blocks))
+    assert agg["total_txs_injected"] == config.mempool_rate * config.n_blocks
+    assert agg["total_txs_injected"] == (
+        agg["total_txs_settled"] + agg["total_txs_dropped"] + agg["mempool_remaining"]
+    )
+    # a transaction listed by several blocks is settled once
+    assert agg["total_txs_settled"] == len(set().union(*(block.tx_list for block in blocks)))
+    if config.max_block_txs is not None:
+        assert all(len(block.tx_list) <= config.max_block_txs for block in blocks)
+    paid = sum(agg["balances"].values()) + Fraction(agg["reward_residual"])
+    base = config.reward_policy.base_block_reward
+    assert paid == agg["total_fees_collected"] + base * config.n_blocks
+    assert agg["finalized_height"] == max(config.n_blocks - 3, -1)
 
 
 def test_delay_model_parsing():

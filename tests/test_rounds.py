@@ -303,7 +303,6 @@ def test_shared_body_proposals_equal_independent_proposals(mode):
             assert shared.tip_set == alone.tip_set
             assert shared.merkle_root == alone.merkle_root
             assert shared.rank_index == alone.rank_index
-            assert shared.signature == alone.signature
             assert shared.prev_block_hash == alone.prev_block_hash == prev
             assert shared == alone
             assembled = assemble_block(dag.ordered_transactions(alone.tip_set), cap)
@@ -319,7 +318,6 @@ def _proposal(proposer, rank, tips=(), prev=ZERO_HASH, root=ZERO_HASH):
         tip_set=tuple(tips),
         prev_block_hash=prev,
         merkle_root=root,
-        signature=b"\x01" * 65,
     )
 
 
