@@ -55,7 +55,6 @@ class Transaction:
 
     tx_hash: bytes
     fee: int
-    sender_id: str = ""
 
     def __post_init__(self) -> None:
         if len(self.tx_hash) != HASH_BYTES:

@@ -5,6 +5,8 @@ logical timeline.  After the beacon advance and role draw, each round
 runs five phases: inject (mempool), attach (one vertex per attacher),
 propose (one body for the ranked proposers, notarization, finality two
 rounds back), settle (fees, then pruning) and requeue (carry-over).
+The block's content is recorded once, in the winning proposal's body:
+settle reads its transaction list and tip set, requeue its carry-over.
 Everything derives from the configured seed and no wall clock or OS
 entropy enters, so identical configs give byte-identical reports.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
 from .attachment import AttachmentStrategy, build_vertex, select_parents
@@ -51,6 +53,7 @@ from .rounds import (
     ChainState,
     CoveragePolicy,
     NotarizedBlock,
+    ProposalBody,
     RoundContext,
     draw_roles,
     finalize,
@@ -248,15 +251,16 @@ class _Run:
         targets = [vid for vid in self.dag.vertices if vid != self.dag.genesis_id]
         self.attach(ctx)
         block = self.propose(ctx, targets)
-        fees = self.settle(block)
-        self.requeue(block)
+        body = block.proposal.body
+        fees = self.settle(body)
+        self.requeue(body)
         self.rows.append(
             RoundRecord(
                 round=r,
-                proposal_size=len(block.proposal.tip_set),
+                proposal_size=len(body.tip_set),
                 fees=fees,
                 coverage=len(targets),
-                carried_over=len(block.carried_over),
+                carried_over=len(body.carried_over),
             )
         )
         self.history.append(
@@ -274,11 +278,9 @@ class _Run:
 
     def inject(self) -> None:
         for _ in range(self.config.mempool_rate):
-            n = len(self.all_txs) + 1
             tx = Transaction(
-                tx_hash=_sha256(b"tx", self.seed, _be8(n)),
+                tx_hash=_sha256(b"tx", self.seed, _be8(len(self.all_txs) + 1)),
                 fee=_geometric_fee(self.rng),
-                sender_id=f"user-{n:06d}",
             )
             self.all_txs[tx.tx_hash] = tx
             self.mempool[tx.tx_hash] = tx
@@ -327,32 +329,28 @@ class _Run:
             make_proposal(ctx, proposer, self.prev_hash, body)
             for proposer in ctx.proposer_ranking[: self.config.n_proposers]
         ]
-        block = replace(
-            notarize_round(proposals, ctx, mode="rank"),
-            tx_list=body.tx_list,
-            carried_over=body.carried_over,
-        )
+        block = notarize_round(proposals, ctx, mode="rank")
         self.chain.add(block)
         finalize(self.chain, ctx.round)
         self.prev_hash = block.block_hash
         return block
 
-    def settle(self, block: NotarizedBlock) -> int:
+    def settle(self, body: ProposalBody) -> int:
         """Settle the block's transactions and prune its cover; returns its fees."""
         fees = 0
-        for txh in block.tx_list:
+        for txh in body.tx_list:
             if txh in self.settled:
                 continue
             self.settled.add(txh)
             self.dropped.discard(txh)  # a sibling copy may settle a dropped tx
             self.mempool.pop(txh, None)
             fees += self.all_txs[txh].fee
-        self.dag.prune_finalized(self.dag.cover_set(block.proposal.tip_set))
+        self.dag.prune_finalized(self.dag.cover_set(body.tip_set))
         return fees
 
-    def requeue(self, block: NotarizedBlock) -> None:
+    def requeue(self, body: ProposalBody) -> None:
         limit = self.config.carryover_retry_limit
-        for txh in block.carried_over:
+        for txh in body.carried_over:
             if txh in self.settled or txh in self.dropped:
                 continue
             attempts = self.requeues.get(txh, 0) + 1
@@ -446,6 +444,9 @@ def table1_experiment(
     """
     if not 0 <= seed < 2**64:
         raise ConfigInvalid(f"seed must be in [0, 2**64), got {seed}")
+    for n_vertices in sizes:
+        if n_vertices < 1:
+            raise ConfigInvalid(f"sizes must be >= 1, got {n_vertices}")
     cells = []
     for strategy in strategies:
         if not isinstance(strategy, AttachmentStrategy):
@@ -511,7 +512,6 @@ def censorship_experiment(config: SimConfig, target_depths) -> list[CensorshipRo
         tx = Transaction(
             tx_hash=_sha256(b"censorship-tx", _be8(config.seed), _be8(level)),
             fee=_geometric_fee(rng),
-            sender_id=f"user-{level:06d}",
         )
         total_fees += tx.fee
         spine = make_vertex((prev, prev), f"spine-{level:04d}", level, (tx.tx_hash,))

@@ -12,9 +12,9 @@ Honest proposers of a round share one view of the DAG and one coverage
 policy, so they publish the same content.  :func:`proposal_body` builds
 it once per round: the tip set, its canonical transaction order split
 at the block cap by :func:`assemble_block`, and the Merkle root of the
-block's part.  :func:`make_proposal` only stamps that body with one
-ranked proposer's identity and rank, and the notarized block carries
-the body's transaction list and carry-over.
+block's part.  A :class:`Proposal` is that body stamped with one ranked
+proposer's identity and rank, and the notarized block holds the winning
+proposal, so its content is read from ``block.proposal.body`` alone.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class RoundContext:
     """Per-round role assignment derived from the beacon value."""
 
     round: int
-    seed: bytes
     attachers: tuple[str, ...]
     proposer_ranking: tuple[str, ...]
     committee: tuple[str, ...]
@@ -108,7 +107,6 @@ def draw_roles(
     committee = tuple(sorted(registry, key=sort_key(b"notarize"))[:committee_size])
     return RoundContext(
         round=round_no,
-        seed=seed,
         attachers=attachers,
         proposer_ranking=ranking,
         committee=committee,
@@ -148,49 +146,27 @@ def greedy_min_cover(dag: Dag, targets, pool=None) -> list[bytes]:
 class CoveragePolicy:
     """How a proposer chooses its tip set.
 
-    ``max_coverage`` covers every active vertex; ``targets`` covers an
-    explicit vertex set; ``censor`` covers as much as possible while
-    avoiding every vertex that contains a given transaction; ``empty``
-    proposes nothing.
+    The candidate tips are the eligible ones, or with ``censor_tx`` only
+    those whose cover avoids every vertex listing that transaction.  The
+    tip set covers ``targets``, by default everything the candidates
+    reach: ``CoveragePolicy()`` is honest maximal coverage and
+    ``empty()`` covers nothing.
     """
 
-    mode: str = "max_coverage"
     targets: tuple[bytes, ...] | None = None
     censor_tx: bytes | None = None
 
     @classmethod
     def cover_targets(cls, targets) -> "CoveragePolicy":
-        return cls(mode="targets", targets=tuple(sorted(targets)))
+        return cls(targets=tuple(sorted(targets)))
 
     @classmethod
     def censoring(cls, tx_hash: bytes) -> "CoveragePolicy":
-        return cls(mode="censor", censor_tx=tx_hash)
+        return cls(censor_tx=tx_hash)
 
     @classmethod
     def empty(cls) -> "CoveragePolicy":
-        return cls(mode="empty")
-
-
-@dataclass(frozen=True)
-class Proposal:
-    proposer_id: str
-    rank_index: int
-    tip_set: tuple[bytes, ...]
-    prev_block_hash: bytes
-    merkle_root: bytes
-
-    def proposal_hash(self) -> bytes:
-        proposer = self.proposer_id.encode("utf-8")
-        return _sha256(
-            b"proposal",
-            _be8(self.rank_index),
-            _be8(len(proposer)),
-            proposer,
-            _be8(len(self.tip_set)),
-            *self.tip_set,
-            self.prev_block_hash,
-            self.merkle_root,
-        )
+        return cls(targets=())
 
 
 def censoring_tip_pool(dag: Dag, tx_hash: bytes) -> list[bytes]:
@@ -230,6 +206,14 @@ class ProposalBody:
     merkle_root: bytes
 
 
+@dataclass(frozen=True)
+class Proposal:
+    proposer_id: str
+    rank_index: int
+    prev_block_hash: bytes
+    body: ProposalBody
+
+
 def proposal_body(
     dag: Dag,
     policy: CoveragePolicy = CoveragePolicy(),
@@ -238,24 +222,15 @@ def proposal_body(
     """Choose the tip set a policy asks for and commit to its transactions."""
     if dag.active_count == 0:
         raise EmptyDag("cannot propose over an empty DAG")
-
-    if policy.mode == "empty":
-        tips: list[bytes] = []
-    elif policy.mode == "targets":
-        tips = greedy_min_cover(dag, policy.targets or ())
-    elif policy.mode == "censor":
-        pool = censoring_tip_pool(dag, policy.censor_tx)
-        reachable = dag.cover_set(pool) - {dag.genesis_id}
-        tips = greedy_min_cover(dag, reachable, pool=pool)
-    elif policy.mode == "max_coverage":
-        # stale-tip subgraphs are excluded from proposal coverage, so the
-        # honest maximum is everything reachable from the eligible tips
+    # stale-tip subgraphs are excluded from proposal coverage
+    if policy.censor_tx is None:
         pool = dag.eligible_tips()
-        targets = dag.cover_set(pool) - {dag.genesis_id}
-        tips = greedy_min_cover(dag, targets, pool=pool)
     else:
-        raise ValueError(f"unknown coverage policy {policy.mode!r}")
-
+        pool = censoring_tip_pool(dag, policy.censor_tx)
+    targets = policy.targets
+    if targets is None:
+        targets = dag.cover_set(pool) - {dag.genesis_id}
+    tips = greedy_min_cover(dag, targets, pool=pool)
     tx_list, carried_over = assemble_block(dag.ordered_transactions(tips), max_block_txs)
     return ProposalBody(
         tip_set=tuple(sorted(tips)),
@@ -277,9 +252,8 @@ def make_proposal(
     return Proposal(
         proposer_id=proposer_id,
         rank_index=ctx.proposer_ranking.index(proposer_id),
-        tip_set=body.tip_set,
         prev_block_hash=prev_block_hash,
-        merkle_root=body.merkle_root,
+        body=body,
     )
 
 
@@ -289,8 +263,6 @@ class NotarizedBlock:
     proposal: Proposal
     notarization_signers: tuple[str, ...]
     block_hash: bytes
-    tx_list: tuple[bytes, ...] = ()
-    carried_over: tuple[bytes, ...] = ()
 
 
 def notarize_round(
@@ -331,13 +303,10 @@ def notarize_round(
         n_stakers = len(ctx.proposer_ranking)
 
         def score(p: Proposal) -> Fraction:
-            covered = dag.cover_set(p.tip_set) - {dag.genesis_id}
+            covered = dag.cover_set(p.body.tip_set) - {dag.genesis_id}
             return Fraction(len(covered), n_vertices) - lam * Fraction(p.rank_index, n_stakers)
 
-        winner = min(
-            proposals,
-            key=lambda p: (-score(p), p.rank_index, p.proposal_hash()),
-        )
+        winner = min(proposals, key=lambda p: (-score(p), p.rank_index))
     else:
         raise ValueError(f"unknown notarization mode {mode!r}")
 
@@ -345,7 +314,7 @@ def notarize_round(
         round=ctx.round,
         proposal=winner,
         notarization_signers=signers,
-        block_hash=compute_block_hash(winner.prev_block_hash, winner.merkle_root, ctx.round),
+        block_hash=compute_block_hash(winner.prev_block_hash, winner.body.merkle_root, ctx.round),
     )
 
 

@@ -73,6 +73,7 @@ def grid_cells():
     )
 
 
+@pytest.mark.slow
 def test_criterion_1_dag_construction_grid(grid_cells):
     means = {(c.strategy, c.n_vertices): c.mean_proposal_size for c in grid_cells}
     for key, (lo, hi) in GRID_BANDS.items():
@@ -158,7 +159,7 @@ def test_criterion_6_finality_safety_and_liveness():
         if prev is not None:
             assert block.proposal.prev_block_hash == prev.block_hash
         assert block.block_hash == compute_block_hash(
-            block.proposal.prev_block_hash, block.proposal.merkle_root, r
+            block.proposal.prev_block_hash, block.proposal.body.merkle_root, r
         )
         prev = block
     print("PASS criterion 6: 1000 honest rounds, 998 finalized at lag 2, chain linked")

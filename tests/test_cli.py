@@ -431,6 +431,14 @@ def test_table1_rejects_empty_sizes(capsys):
     assert "empty sizes list" in err
 
 
+@pytest.mark.parametrize("sizes, bad", [("-5", -5), ("4,-1", -1)])
+def test_table1_rejects_sizes_below_one(capsys, sizes, bad):
+    code, out, err = run(capsys, "table1", f"--sizes={sizes}", "--blocks", "2", "--strategies", "random")
+    assert (code, out) == (2, "")
+    assert f"sizes must be >= 1, got {bad}" in err
+    assert "Traceback" not in err
+
+
 def _cli_text(value) -> str:
     if value is None:
         return "none"

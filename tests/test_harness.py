@@ -22,7 +22,7 @@ from minagree.harness import (
     table1_experiment,
 )
 from minagree.incentives import RewardPolicy
-from minagree.rounds import compute_block_hash
+from minagree.rounds import compute_block_hash, merkle_root
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,7 +69,7 @@ def test_zero_mempool_rate_still_advances_chain():
     report = run_simulation(small_config(mempool_rate=0, n_blocks=8))
     assert len(report.chain.blocks) == 8
     assert all(row.fees == 0 for row in report.rows)
-    assert all(block.tx_list == () for block in report.chain.blocks.values())
+    assert all(block.proposal.body.tx_list == () for block in report.chain.blocks.values())
     assert report.aggregates["finalized_height"] == 5
 
 
@@ -97,7 +97,7 @@ def test_finality_audit_lag_exactly_two():
         if prev is not None:
             assert block.proposal.prev_block_hash == prev.block_hash
         assert block.block_hash == compute_block_hash(
-            block.proposal.prev_block_hash, block.proposal.merkle_root, r
+            block.proposal.prev_block_hash, block.proposal.body.merkle_root, r
         )
         prev = block
 
@@ -109,7 +109,7 @@ def test_block_cap_carries_and_requeues():
     assert any(row.carried_over > 0 for row in report.rows)
     for row in report.rows:
         block = report.chain.blocks[row.round]
-        assert len(block.tx_list) <= 3 and len(block.carried_over) == row.carried_over
+        assert len(block.proposal.body.tx_list) <= 3 and len(block.proposal.body.carried_over) == row.carried_over
     agg = report.aggregates
     assert agg["total_txs_dropped"] == 0  # unlimited retries by default
     assert agg["total_txs_injected"] == (
@@ -224,9 +224,13 @@ def test_run_simulation_invariants(config):
         agg["total_txs_settled"] + agg["total_txs_dropped"] + agg["mempool_remaining"]
     )
     # a transaction listed by several blocks is settled once
-    assert agg["total_txs_settled"] == len(set().union(*(block.tx_list for block in blocks)))
+    assert agg["total_txs_settled"] == len(set().union(*(block.proposal.body.tx_list for block in blocks)))
     if config.max_block_txs is not None:
-        assert all(len(block.tx_list) <= config.max_block_txs for block in blocks)
+        assert all(len(block.proposal.body.tx_list) <= config.max_block_txs for block in blocks)
+    for block in blocks:
+        body = block.proposal.body
+        assert merkle_root(body.tx_list) == body.merkle_root
+        assert block.block_hash == compute_block_hash(block.proposal.prev_block_hash, body.merkle_root, block.round)
     paid = sum(agg["balances"].values()) + Fraction(agg["reward_residual"])
     base = config.reward_policy.base_block_reward
     assert paid == agg["total_fees_collected"] + base * config.n_blocks

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    bfs_cover,
     brute_force_min_cover,
     grow_random_dag,
     h32,
@@ -27,6 +28,7 @@ from minagree.rounds import (
     CoveragePolicy,
     NotarizedBlock,
     Proposal,
+    ProposalBody,
     assemble_block,
     compute_block_hash,
     draw_roles,
@@ -210,17 +212,17 @@ def test_make_proposal_full_coverage_single_tip():
         prev = v.vertex_id
     ctx = _simple_ctx()
     p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag))
-    assert p.tip_set == (prev,)
-    assert dag.cover_set(p.tip_set) == set(dag.vertices)
-    assert p.merkle_root == merkle_root(dag.ordered_transactions(p.tip_set))
+    assert p.body.tip_set == (prev,)
+    assert dag.cover_set(p.body.tip_set) == set(dag.vertices)
+    assert p.body.merkle_root == merkle_root(dag.ordered_transactions(p.body.tip_set))
 
 
 def test_make_proposal_empty_policy():
     dag = Dag()
     ctx = _simple_ctx()
     p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, CoveragePolicy.empty()))
-    assert p.tip_set == ()
-    assert p.merkle_root == b"\x00" * 32
+    assert p.body.tip_set == ()
+    assert p.body.merkle_root == b"\x00" * 32
 
 
 def test_make_proposal_censoring_avoids_target_coverage():
@@ -238,10 +240,10 @@ def test_make_proposal_censoring_avoids_target_coverage():
     censoring = make_proposal(
         ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, CoveragePolicy.censoring(t_bad))
     )
-    covered = dag.cover_set(censoring.tip_set)
+    covered = dag.cover_set(censoring.body.tip_set)
     assert bad.vertex_id not in covered
     assert on_top.vertex_id not in covered
-    assert len(covered) < len(dag.cover_set(honest.tip_set))
+    assert len(covered) < len(dag.cover_set(honest.body.tip_set))
 
 
 def test_make_proposal_skips_stale_strands():
@@ -254,8 +256,8 @@ def test_make_proposal_skips_stale_strands():
     dag.discard_stale_tips(current_round=12, max_age=10)
     ctx = _simple_ctx()
     p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag))
-    assert p.tip_set == (live.vertex_id,)
-    assert stranded.vertex_id not in dag.cover_set(p.tip_set)
+    assert p.body.tip_set == (live.vertex_id,)
+    assert stranded.vertex_id not in dag.cover_set(p.body.tip_set)
 
 
 def test_proposal_respects_block_cap_in_merkle():
@@ -265,7 +267,7 @@ def test_proposal_respects_block_cap_in_merkle():
     dag.attach(v)
     ctx = _simple_ctx()
     p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, CoveragePolicy(), 3))
-    assert p.merkle_root == merkle_root(list(txs[:3]))
+    assert p.body.merkle_root == merkle_root(list(txs[:3]))
 
 
 def _random_policy(rng, dag, mode):
@@ -300,13 +302,60 @@ def test_shared_body_proposals_equal_independent_proposals(mode):
             shared = make_proposal(ctx, proposer, prev, body)
             alone = make_proposal(ctx, proposer, prev, proposal_body(dag, policy, cap))
             assert shared.proposer_id == alone.proposer_id == proposer
-            assert shared.tip_set == alone.tip_set
-            assert shared.merkle_root == alone.merkle_root
+            assert shared.body.tip_set == alone.body.tip_set
+            assert shared.body.merkle_root == alone.body.merkle_root
             assert shared.rank_index == alone.rank_index
             assert shared.prev_block_hash == alone.prev_block_hash == prev
             assert shared == alone
-            assembled = assemble_block(dag.ordered_transactions(alone.tip_set), cap)
+            assembled = assemble_block(dag.ordered_transactions(alone.body.tip_set), cap)
             assert assembled == (body.tx_list, body.carried_over)
+
+
+def _dag_in_state(rng, state):
+    dag, ids = grow_random_dag(rng, rng.randrange(2, 25), txs_per_vertex=2)
+    if state == "stale":
+        dag.discard_stale_tips(current_round=len(ids) + 4, max_age=10)
+    elif state == "pruned":
+        tips = dag.tips()
+        # keep at least one tip's cover active, so the DAG stays non-empty
+        dag.prune_finalized(bfs_cover(dag, rng.sample(tips, rng.randrange(len(tips)))))
+    return dag
+
+
+@pytest.mark.parametrize("state", ["grown", "stale", "pruned"])
+@pytest.mark.parametrize("kind", ["max_coverage", "targets", "censor", "empty"])
+def test_proposal_body_tip_set_matches_reference_greedy(kind, state):
+    rng = random.Random(f"reference-body-{kind}-{state}")
+    for _ in range(25):
+        dag = _dag_in_state(rng, state)
+        pool = dag.eligible_tips()
+        if kind == "targets":
+            coverable = sorted(bfs_cover(dag, pool))
+            targets = rng.sample(coverable, rng.randrange(len(coverable) + 1))
+            policy = CoveragePolicy.cover_targets(targets)
+        elif kind == "censor":
+            listed = sorted({txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes})
+            if not listed:
+                continue
+            censored = rng.choice(listed)
+            pool = [
+                tip for tip in pool
+                if not any(censored in dag.vertices[v].tx_hashes for v in bfs_cover(dag, (tip,)))
+            ]
+            targets = bfs_cover(dag, pool) - {dag.genesis_id}
+            policy = CoveragePolicy.censoring(censored)
+        elif kind == "empty":
+            targets = ()
+            policy = CoveragePolicy.empty()
+        else:
+            targets = bfs_cover(dag, pool) - {dag.genesis_id}
+            policy = CoveragePolicy()
+        expected = tuple(sorted(reference_greedy_cover(dag, targets, pool)))
+        assert proposal_body(dag, policy).tip_set == expected
+        cap = rng.choice([None, 0, 3])
+        assert proposal_body(dag, CoveragePolicy.empty(), cap) == proposal_body(
+            dag, CoveragePolicy.cover_targets(()), cap
+        )
 
 
 # --- notarization ---
@@ -315,9 +364,8 @@ def _proposal(proposer, rank, tips=(), prev=ZERO_HASH, root=ZERO_HASH):
     return Proposal(
         proposer_id=proposer,
         rank_index=rank,
-        tip_set=tuple(tips),
         prev_block_hash=prev,
-        merkle_root=root,
+        body=ProposalBody(tip_set=tuple(tips), tx_list=(), carried_over=(), merkle_root=root),
     )
 
 
@@ -379,7 +427,7 @@ def test_notarize_competitive_scale_invariance():
     block = notarize_round(proposals, ctx, mode="competitive", lam=lam, dag=dag)
 
     def score(p, scale):
-        covered = dag.cover_set(p.tip_set) - {dag.genesis_id}
+        covered = dag.cover_set(p.body.tip_set) - {dag.genesis_id}
         delta = Fraction(len(covered), len(ctx.attachers))
         return scale * delta - (scale * lam) * Fraction(p.rank_index, len(names))
 
@@ -399,7 +447,7 @@ def _chain_with_blocks(n):
             round=r,
             proposal=proposal,
             notarization_signers=("a", "b", "c"),
-            block_hash=compute_block_hash(prev, proposal.merkle_root, r),
+            block_hash=compute_block_hash(prev, proposal.body.merkle_root, r),
         )
         chain.add(block)
         prev = block.block_hash
