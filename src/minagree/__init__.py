@@ -34,7 +34,6 @@ from .incentives import (
 )
 from .rounds import (
     ChainState,
-    CoveragePolicy,
     NotarizedBlock,
     Proposal,
     ProposalBody,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttachmentStrategy",
     "ChainState",
-    "CoveragePolicy",
     "Dag",
     "DelayModel",
     "LedgerAccounts",

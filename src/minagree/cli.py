@@ -105,6 +105,10 @@ def _load_config_file(path: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigInvalid(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -152,11 +156,9 @@ def build_sim_config(config_path: str | None, overrides) -> SimConfig:
     try:
         for policy, changes in nested.items():
             top[policy] = replace(getattr(defaults, policy), **changes)
-        config = replace(defaults, **top)
+        return replace(defaults, **top)
     except (ValueError, SimulatorError) as exc:
         raise ConfigInvalid(str(exc)) from exc
-    config.validate()
-    return config
 
 
 def _write_csv(columns, rows) -> str:
@@ -206,8 +208,11 @@ def render_censorship(rows, fmt: str) -> str:
 
 def _emit(text: str, output_path: str | None) -> None:
     if output_path:
-        with open(output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot write output file {output_path}: {exc.strerror}") from exc
         log.info("wrote %s", output_path)
     else:
         sys.stdout.write(text)

@@ -3,7 +3,7 @@
 One simulation executes a fixed number of block rounds on a single
 logical timeline.  After the beacon advance and role draw, each round
 runs five phases: inject (mempool), attach (one vertex per attacher),
-propose (one body for the ranked proposers, notarization, finality two
+propose (the top-ranked proposer's body, notarization, finality two
 rounds back), settle (fees, then pruning) and requeue (carry-over).
 The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
@@ -41,7 +41,6 @@ from .dag import (
 )
 from .errors import ConfigInvalid
 from .incentives import (
-    LedgerAccounts,
     RewardPolicy,
     RoundEconomics,
     RoundParams,
@@ -51,7 +50,6 @@ from .incentives import (
 from .rounds import (
     ZERO_HASH,
     ChainState,
-    CoveragePolicy,
     NotarizedBlock,
     ProposalBody,
     RoundContext,
@@ -122,8 +120,8 @@ class DelayModel:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation's settings; the CLI's config keys and defaults are
-    derived from these fields."""
+    """One simulation's settings, checked when built; the CLI's config
+    keys and defaults are derived from these fields."""
 
     seed: int = 7
     n_stakers: int = 16
@@ -139,7 +137,7 @@ class SimConfig:
     visibility_horizon: float = 1.0
     carryover_retry_limit: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         counts = {
             "n_stakers": self.n_stakers,
             "n_attachers": self.n_attachers,
@@ -323,13 +321,14 @@ class _Run:
             arrivals.setdefault(r + max(delay, 1), []).append((vertex.vertex_id, vertex.parents))
 
     def propose(self, ctx: RoundContext, targets: list[bytes]) -> NotarizedBlock:
-        """Notarize and chain one block over the targets, from the body all ranked proposers share."""
-        body = proposal_body(self.dag, CoveragePolicy.cover_targets(targets), self.config.max_block_txs)
-        proposals = [
-            make_proposal(ctx, proposer, self.prev_hash, body)
-            for proposer in ctx.proposer_ranking[: self.config.n_proposers]
-        ]
-        block = notarize_round(proposals, ctx, mode="rank")
+        """Notarize and chain one block over the targets.
+
+        Honest proposers share one body and rank notarization takes the
+        top-ranked one, so only that proposal is built.
+        """
+        body = proposal_body(self.dag, targets, max_block_txs=self.config.max_block_txs)
+        proposal = make_proposal(ctx, ctx.proposer_ranking[0], self.prev_hash, body)
+        block = notarize_round([proposal], ctx)
         self.chain.add(block)
         finalize(self.chain, ctx.round)
         self.prev_hash = block.block_hash
@@ -361,9 +360,7 @@ class _Run:
                 self.requeues[txh] = attempts  # stays queued for new vertices
 
     def report(self) -> SimulationReport:
-        ledger = distribute_rewards(
-            LedgerAccounts(), self.history, self.config.reward_policy, self.config.n_blocks - 1
-        )
+        ledger = distribute_rewards(self.history, self.config.reward_policy)
         sizes = [row.proposal_size for row in self.rows]
         aggregates = {
             "mean_proposal_size": float(statistics.fmean(sizes)),
@@ -395,7 +392,6 @@ def run_simulation(config: SimConfig) -> SimulationReport:
     block is assembled, so consecutive blocks never overlap and no
     vertex outlives the round after its own.
     """
-    config.validate()
     run = _Run(config)
     for r in range(config.n_blocks):
         run.round(r)
@@ -497,7 +493,6 @@ def censorship_experiment(config: SimConfig, target_depths) -> list[CensorshipRo
     censoring proposal against honest maximal coverage at every
     requested depth.  Depth 0 is the spine tip itself.
     """
-    config.validate()
     depths = sorted(set(int(d) for d in target_depths))
     if not depths or depths[0] < 0:
         raise ConfigInvalid("target depths must be non-negative")
@@ -526,7 +521,6 @@ def censorship_experiment(config: SimConfig, target_depths) -> list[CensorshipRo
     out = []
     for depth in depths:
         target = spine_txs[levels - 1 - depth]
-        # the cost does not depend on the mode; hard mode adds feasibility
-        cost, feasible = censorship_cost(dag, target, params, config.reward_policy, mode="hard")
+        cost, feasible = censorship_cost(dag, target, params, config.reward_policy)
         out.append(CensorshipRow(depth=depth, soft_cost=cost, hard_feasible=feasible))
     return out

@@ -1,9 +1,12 @@
 """Reward, pricing and censorship-cost computations.
 
 Token amounts are exact integers in the smallest unit; coverage ratios
-and shares are exact rationals.  Every distribution rounds down to
-integer payouts and accounts for the remainder explicitly, so the ledger
-conserves value bit-exactly over arbitrarily long runs.
+and shares are exact rationals.  A run's rewards are distributed once,
+over its whole history, into a fresh ledger; every payout rounds down
+and the remainder is accounted for explicitly, so the ledger conserves
+value bit-exactly over arbitrarily long runs.  The censorship price is
+the reward gap to honest maximal coverage, reported together with the
+censoring proposal's hard-constraint feasibility.
 """
 
 from __future__ import annotations
@@ -135,13 +138,8 @@ def proposer_reward(round_fees: int, base_reward: int, delta, policy: RewardPoli
     return (1 - policy.non_producer_share) * pot * delta
 
 
-def distribute_rewards(
-    ledger: LedgerAccounts,
-    history,
-    policy: RewardPolicy,
-    current_round: int,
-) -> LedgerAccounts:
-    """Credit a full run's rewards into the ledger, conserving exactly.
+def distribute_rewards(history, policy: RewardPolicy) -> LedgerAccounts:
+    """A fresh ledger crediting a full run's rewards, conserving exactly.
 
     Per round: the shared slice of the pot is split equally among that
     round's attachers (and committee, when configured); the producer side
@@ -150,13 +148,9 @@ def distribute_rewards(
     that would fall past the end of the run are settled back to the round
     that earned them, and all rounding remainders stay in the ledger's
     residual, so credits plus residual equal collected value exactly.
-
-    Call once over a complete history; repeated calls would double-pay.
     """
-    rows = sorted(
-        (row for row in history if row.round <= current_round),
-        key=lambda row: row.round,
-    )
+    ledger = LedgerAccounts()
+    rows = sorted(history, key=lambda row: row.round)
     window = policy.decouple_window
     producer_pots: list[Fraction] = []
     producers: list[str] = []
@@ -213,14 +207,16 @@ def distribute_rewards(
 def kth_price_clearing(bids, capacity: int, reserve: int = 0):
     """Uniform-price auction: winners pay the first excluded bid.
 
-    ``bids`` is an iterable of ``(tx_hash, fee)``.  The top ``capacity``
-    bids win (fee descending, ties by ascending hash); everyone included
-    pays the (capacity+1)-th highest fee, or the reserve when demand does
-    not exceed capacity.
+    ``bids`` is an iterable of ``(tx_hash, fee)``.  Bids below the
+    reserve are dropped; of the rest, the top ``capacity`` win (fee
+    descending, ties by ascending hash) and everyone included pays the
+    (capacity+1)-th highest remaining fee, or the reserve when the
+    remaining demand does not exceed capacity.  No winner pays more than
+    its bid, and the price never falls below the reserve.
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    ordered = sorted(bids, key=lambda bid: (-bid[1], bid[0]))
+    ordered = sorted((bid for bid in bids if bid[1] >= reserve), key=lambda bid: (-bid[1], bid[0]))
     included = [tx for tx, _fee in ordered[:capacity]]
     if len(ordered) > capacity:
         clearing_price = ordered[capacity][1]
@@ -256,7 +252,6 @@ def censorship_cost(
     target_tx: bytes,
     ctx: RoundParams,
     policy: RewardPolicy,
-    mode: str = "soft",
 ) -> tuple[Fraction, bool]:
     """Reward forgone by the best proposal that excludes one transaction.
 
@@ -265,12 +260,9 @@ def censorship_cost(
     honest one covers everything reachable from all eligible tips.  The
     price depends only on each proposal's coverage, which is its pool's
     reachable set (genesis excluded), so no set cover is built for it.
-    Soft mode returns the reward gap versus honest maximal coverage
-    (always feasible); hard mode additionally reports whether the
-    censoring proposal clears the minimum-coverage constraint.
+    Returns the reward gap versus honest maximal coverage and whether
+    the censoring proposal clears the minimum-coverage constraint.
     """
-    if mode not in ("soft", "hard"):
-        raise ValueError(f"unknown censorship mode {mode!r}")
     dag.vertices_containing(target_tx)  # raises UnknownTransaction if absent
 
     n_honest = _coverage_excluding_genesis(dag, dag.eligible_tips())
@@ -280,8 +272,5 @@ def censorship_cost(
     delta_censor = delta_score(n_censor, ctx.n_vertices)
     honest_reward = proposer_reward(ctx.round_fees, policy.base_block_reward, delta_honest, policy)
     censor_reward = proposer_reward(ctx.round_fees, policy.base_block_reward, delta_censor, policy)
-    cost = honest_reward - censor_reward
-
-    if mode == "soft":
-        return cost, True
-    return cost, check_hard_constraint(n_censor, ctx.n_vertices, policy.hard_alpha)
+    feasible = check_hard_constraint(n_censor, ctx.n_vertices, policy.hard_alpha)
+    return honest_reward - censor_reward, feasible

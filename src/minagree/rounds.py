@@ -8,13 +8,15 @@ rounds later.  Real threshold cryptography is out of scope: the beacon is
 a seeded hash chain, and proposals and vertices carry no signatures.
 
 The engine advances one round at a time on a single logical timeline.
-Honest proposers of a round share one view of the DAG and one coverage
-policy, so they publish the same content.  :func:`proposal_body` builds
-it once per round: the tip set, its canonical transaction order split
-at the block cap by :func:`assemble_block`, and the Merkle root of the
-block's part.  A :class:`Proposal` is that body stamped with one ranked
-proposer's identity and rank, and the notarized block holds the winning
-proposal, so its content is read from ``block.proposal.body`` alone.
+Honest proposers of a round share one view of the DAG and cover the same
+targets, so they publish the same content.  :func:`proposal_body`
+builds it from a tip pool (eligible tips, or those avoiding a censored
+transaction) and the targets: the tip set, its canonical transaction
+order split at the block cap by :func:`assemble_block`, and the Merkle
+root of the block's part.  A :class:`Proposal` is that body stamped with
+one ranked proposer's identity and rank, and the notarized block holds
+the winning proposal, so its content is read from
+``block.proposal.body`` alone.
 """
 
 from __future__ import annotations
@@ -142,33 +144,6 @@ def greedy_min_cover(dag: Dag, targets, pool=None) -> list[bytes]:
     return chosen
 
 
-@dataclass(frozen=True)
-class CoveragePolicy:
-    """How a proposer chooses its tip set.
-
-    The candidate tips are the eligible ones, or with ``censor_tx`` only
-    those whose cover avoids every vertex listing that transaction.  The
-    tip set covers ``targets``, by default everything the candidates
-    reach: ``CoveragePolicy()`` is honest maximal coverage and
-    ``empty()`` covers nothing.
-    """
-
-    targets: tuple[bytes, ...] | None = None
-    censor_tx: bytes | None = None
-
-    @classmethod
-    def cover_targets(cls, targets) -> "CoveragePolicy":
-        return cls(targets=tuple(sorted(targets)))
-
-    @classmethod
-    def censoring(cls, tx_hash: bytes) -> "CoveragePolicy":
-        return cls(censor_tx=tx_hash)
-
-    @classmethod
-    def empty(cls) -> "CoveragePolicy":
-        return cls(targets=())
-
-
 def censoring_tip_pool(dag: Dag, tx_hash: bytes) -> list[bytes]:
     """Eligible tips whose cover avoids every vertex listing ``tx_hash``."""
     forbidden = 0
@@ -216,18 +191,25 @@ class Proposal:
 
 def proposal_body(
     dag: Dag,
-    policy: CoveragePolicy = CoveragePolicy(),
+    targets=None,
+    censor_tx: bytes | None = None,
     max_block_txs: int | None = None,
 ) -> ProposalBody:
-    """Choose the tip set a policy asks for and commit to its transactions."""
+    """Choose a tip set and commit to its transactions.
+
+    The candidate tips are the eligible ones, or with ``censor_tx`` only
+    those whose cover avoids every vertex listing that transaction.  The
+    tip set covers ``targets``, by default everything the candidates
+    reach: no arguments give honest maximal coverage and ``targets=()``
+    covers nothing.
+    """
     if dag.active_count == 0:
         raise EmptyDag("cannot propose over an empty DAG")
     # stale-tip subgraphs are excluded from proposal coverage
-    if policy.censor_tx is None:
+    if censor_tx is None:
         pool = dag.eligible_tips()
     else:
-        pool = censoring_tip_pool(dag, policy.censor_tx)
-    targets = policy.targets
+        pool = censoring_tip_pool(dag, censor_tx)
     if targets is None:
         targets = dag.cover_set(pool) - {dag.genesis_id}
     tips = greedy_min_cover(dag, targets, pool=pool)

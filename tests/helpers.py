@@ -118,7 +118,7 @@ def reference_merkle(leaves) -> bytes:
     return reference_merkle(mid)
 
 
-def set_cover_censorship_cost(dag: Dag, target_tx, ctx, policy, mode: str = "soft") -> tuple:
+def set_cover_censorship_cost(dag: Dag, target_tx, ctx, policy) -> tuple:
     """Censorship price from two explicit greedy set covers.
 
     Builds the honest and the censoring proposal's tip sets with
@@ -139,6 +139,4 @@ def set_cover_censorship_cost(dag: Dag, target_tx, ctx, policy, mode: str = "sof
         return proposer_reward(ctx.round_fees, policy.base_block_reward, delta, policy)
 
     cost = reward(n_honest) - reward(n_censor)
-    if mode == "soft":
-        return cost, True
     return cost, check_hard_constraint(n_censor, ctx.n_vertices, policy.hard_alpha)

@@ -31,7 +31,6 @@ from minagree.harness import (
     table1_experiment,
 )
 from minagree.incentives import (
-    LedgerAccounts,
     RewardPolicy,
     RoundEconomics,
     collusion_profit,
@@ -196,7 +195,7 @@ def test_criterion_7_incentive_suite():
     ]
     for window in (1, 2, 10):
         w_policy = RewardPolicy(decouple_window=window, non_producer_share=Fraction(1, 4))
-        ledger = distribute_rewards(LedgerAccounts(), rows, w_policy, 99)
+        ledger = distribute_rewards(rows, w_policy)
         assert ledger.conserves()
         assert ledger.total_credited() + ledger.residual == sum(pots)
 

@@ -44,6 +44,32 @@ def test_simulate_missing_config_exits_2(capsys):
     assert "missing.cfg" in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    cfg = tmp_path / "c.json"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b'\xff\xfe{"seed": 1}')
+    code, _, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert str(cfg) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--set", "n_blocks=2"), ("bandwidth", "--tps", "1", "--t-block", "1", "--n-vertices", "1")],
+    ids=["simulate", "bandwidth"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.csv"
+    code, _, err = run(capsys, *argv, "-o", str(target))
+    assert code == 2
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(capsys, "simulate", "--bogus")[0] == 2
 

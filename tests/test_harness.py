@@ -1,5 +1,6 @@
 """End-to-end simulation runs: determinism, accounting, finality, knobs."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -266,13 +267,15 @@ def test_strict_synchrony_via_fixed_delay():
 
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
-        small_config(n_attachers=10).validate()  # exceeds stakers
+        small_config(n_attachers=10)  # exceeds stakers
     with pytest.raises(ConfigInvalid):
-        small_config(n_blocks=0).validate()
+        small_config(n_blocks=0)
     with pytest.raises(ConfigInvalid):
-        small_config(mempool_rate=-1).validate()
+        small_config(mempool_rate=-1)
     with pytest.raises(ConfigInvalid):
-        small_config(visibility_horizon=-0.5).validate()
+        small_config(visibility_horizon=-0.5)
+    with pytest.raises(ConfigInvalid, match="n_stakers must be >= 1"):
+        dataclasses.replace(SimConfig(), n_stakers=0)
 
 
 def test_visibility_horizon_zero_gives_full_knowledge():
@@ -402,7 +405,7 @@ def test_report_digests_are_pinned(kind):
 @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 1e308])
 def test_validate_rejects_non_finite_horizon(horizon):
     with pytest.raises(ConfigInvalid, match="visibility_horizon must be finite"):
-        SimConfig(visibility_horizon=horizon).validate()
+        SimConfig(visibility_horizon=horizon)
 
 
 def test_bandwidth_estimates_exact():

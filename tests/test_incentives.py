@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import grow_random_dag, h32, set_cover_censorship_cost
 from minagree import harness
@@ -12,7 +14,6 @@ from minagree.attachment import AttachmentStrategy
 from minagree.dag import Dag, make_vertex
 from minagree.errors import InvalidCounts, InvalidFraction, UnknownTransaction
 from minagree.incentives import (
-    LedgerAccounts,
     RewardPolicy,
     RoundEconomics,
     RoundParams,
@@ -104,14 +105,14 @@ def _history(pots, producers=None, deltas=None):
 
 def test_window_one_matches_per_round_reward():
     policy = RewardPolicy(decouple_window=1)
-    ledger = distribute_rewards(LedgerAccounts(), _history([100, 40, 7]), policy, 2)
+    ledger = distribute_rewards(_history([100, 40, 7]), policy)
     assert ledger.balances == {"p0": 100, "p1": 40, "p2": 7}
     assert ledger.conserves()
 
 
 def test_window_two_averages_trailing_pots():
     policy = RewardPolicy(decouple_window=2)
-    ledger = distribute_rewards(LedgerAccounts(), _history([100, 0]), policy, 1)
+    ledger = distribute_rewards(_history([100, 0]), policy)
     assert ledger.balances == {"p0": 50, "p1": 50}
     assert ledger.conserves()
 
@@ -126,7 +127,8 @@ def test_distribution_conserves_exactly_across_windows():
             non_producer_share=Fraction(1, 4),
             committee_share=Fraction(1, 5),
         )
-        ledger = distribute_rewards(LedgerAccounts(), _history(pots, producers), policy, 99)
+        ledger = distribute_rewards(_history(pots, producers), policy)
+        assert distribute_rewards(_history(pots, producers), policy) == ledger
         assert ledger.conserves()
         assert ledger.total_credited() + ledger.residual == sum(pots)
 
@@ -134,7 +136,7 @@ def test_distribution_conserves_exactly_across_windows():
 def test_distribution_with_full_delta_pays_out_everything():
     # honest runs (delta = 1, integer-divisible shares) leave nothing behind
     policy = RewardPolicy(decouple_window=2, non_producer_share=Fraction(1, 2))
-    ledger = distribute_rewards(LedgerAccounts(), _history([100, 60]), policy, 1)
+    ledger = distribute_rewards(_history([100, 60]), policy)
     assert ledger.total_credited() == 160
     assert ledger.residual == 0
     # attachers split the shared half equally each round
@@ -144,7 +146,7 @@ def test_distribution_with_full_delta_pays_out_everything():
 def test_distribution_withholds_coverage_penalty():
     policy = RewardPolicy(decouple_window=1)
     deltas = [Fraction(1, 2)]
-    ledger = distribute_rewards(LedgerAccounts(), _history([100], deltas=deltas), policy, 0)
+    ledger = distribute_rewards(_history([100], deltas=deltas), policy)
     assert ledger.balances == {"p0": 50}
     assert ledger.residual == 50
     assert ledger.conserves()
@@ -152,7 +154,7 @@ def test_distribution_withholds_coverage_penalty():
 
 def test_base_reward_enters_the_pot():
     policy = RewardPolicy(base_block_reward=10)
-    ledger = distribute_rewards(LedgerAccounts(), _history([5]), policy, 0)
+    ledger = distribute_rewards(_history([5]), policy)
     assert ledger.balances == {"p0": 15}
 
 
@@ -214,6 +216,42 @@ def test_kth_price_truthful_bidding_dominates():
             assert utility(values, bids, bidder, capacity) <= truthful
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    fees=st.lists(st.integers(0, 12), max_size=8),
+    capacity=st.integers(1, 6),
+    reserve=st.integers(0, 12),
+    bidder=st.integers(0, 7),
+)
+@example(fees=[3], capacity=2, reserve=5, bidder=0)
+@example(fees=[10, 9, 1], capacity=2, reserve=5, bidder=2)
+def test_kth_price_clears_at_or_above_reserve_and_stays_truthful(fees, capacity, reserve, bidder):
+    # fees double as the bidders' true values; the narrow range makes ties common
+    hashes = [h32(f"b{i}") for i in range(len(fees))]
+
+    def clear(bids):
+        return kth_price_clearing(list(zip(hashes, bids)), capacity, reserve)
+
+    included, price = clear(fees)
+    fee_of = dict(zip(hashes, fees))
+    assert price >= reserve
+    assert all(fee_of[tx] >= price for tx in included)
+    assert len(included) == min(capacity, sum(fee >= reserve for fee in fees))
+    if not fees:
+        return
+    bidder %= len(fees)
+
+    def utility(bids):
+        won, paid = clear(bids)
+        return fees[bidder] - paid if hashes[bidder] in won else 0
+
+    truthful = utility(fees)
+    for deviation in range(14):
+        bids = list(fees)
+        bids[bidder] = deviation
+        assert utility(bids) <= truthful
+
+
 # --- collusion ---
 
 def test_collusion_profit_formula():
@@ -266,7 +304,7 @@ def test_censorship_cost_fresh_tip_is_marginal():
     n_vertices = dag.active_count - 1
     params = RoundParams(n_vertices=n_vertices, round_fees=100)
     policy = RewardPolicy()
-    cost, feasible = censorship_cost(dag, txs[-1], params, policy, mode="soft")
+    cost, feasible = censorship_cost(dag, txs[-1], params, policy)
     assert feasible is True
     assert cost == Fraction(100, n_vertices)  # exactly one vertex forgone
 
@@ -274,7 +312,7 @@ def test_censorship_cost_fresh_tip_is_marginal():
 def test_censorship_cost_deep_target_forfeits_almost_everything():
     dag, txs = _comb(10)
     params = RoundParams(n_vertices=dag.active_count - 1, round_fees=100)
-    cost, _ = censorship_cost(dag, txs[0], params, RewardPolicy(), mode="soft")
+    cost, _ = censorship_cost(dag, txs[0], params, RewardPolicy())
     assert cost == 100  # no allowed tip covers anything
 
 
@@ -283,7 +321,7 @@ def test_censorship_cost_monotone_in_depth():
     params = RoundParams(n_vertices=dag.active_count - 1, round_fees=77)
     last = Fraction(-1)
     for tx in reversed(txs):  # deepest last
-        cost, _ = censorship_cost(dag, tx, params, RewardPolicy(), mode="soft")
+        cost, _ = censorship_cost(dag, tx, params, RewardPolicy())
         assert cost >= last
         last = cost
 
@@ -292,7 +330,7 @@ def test_censorship_hard_mode_alpha_one_infeasible_with_descendants():
     dag, txs = _comb(6)
     params = RoundParams(n_vertices=dag.active_count - 1, round_fees=10)
     policy = RewardPolicy(hard_alpha=Fraction(1))
-    _, feasible = censorship_cost(dag, txs[2], params, policy, mode="hard")
+    _, feasible = censorship_cost(dag, txs[2], params, policy)
     assert feasible is False
 
 
@@ -303,7 +341,7 @@ def test_censorship_cost_tolerates_stale_strands():
     dag.attach(stranded)
     assert dag.discard_stale_tips(current_round=11, max_age=10) == 1
     params = RoundParams(n_vertices=dag.active_count - 1, round_fees=10)
-    cost, feasible = censorship_cost(dag, txs[-1], params, RewardPolicy(), mode="soft")
+    cost, feasible = censorship_cost(dag, txs[-1], params, RewardPolicy())
     assert feasible is True
     assert cost > 0
 
@@ -320,10 +358,9 @@ def _assert_matches_set_cover_oracle(dag, rng):
         hard_alpha=Fraction(rng.randrange(0, 5), 4),
     )
     for tx in _listed_transactions(dag):
-        for mode in ("soft", "hard"):
-            assert censorship_cost(dag, tx, params, policy, mode) == set_cover_censorship_cost(
-                dag, tx, params, policy, mode
-            )
+        assert censorship_cost(dag, tx, params, policy) == set_cover_censorship_cost(
+            dag, tx, params, policy
+        )
 
 
 def test_censorship_cost_matches_set_cover_oracle():
@@ -362,18 +399,14 @@ def test_censorship_experiment_rows_equal_separate_calls(monkeypatch):
     rows = harness.censorship_experiment(config, range(8))
     assert len(calls) == len(rows)
     for row, (dag, target, params, policy) in zip(rows, calls):
-        soft_cost, _ = censorship_cost(dag, target, params, policy, mode="soft")
-        _, feasible = censorship_cost(dag, target, params, policy, mode="hard")
-        assert (row.soft_cost, row.hard_feasible) == (soft_cost, feasible)
+        assert (row.soft_cost, row.hard_feasible) == censorship_cost(dag, target, params, policy)
     assert {row.hard_feasible for row in rows} == {True, False}
 
 
 def test_censorship_unknown_transaction():
     dag, _ = _comb(3)
     with pytest.raises(UnknownTransaction):
-        censorship_cost(
-            dag, h32("ghost"), RoundParams(5, 10), RewardPolicy(), mode="soft"
-        )
+        censorship_cost(dag, h32("ghost"), RoundParams(5, 10), RewardPolicy())
 
 
 def test_reward_policy_validation():

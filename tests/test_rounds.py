@@ -25,7 +25,6 @@ from minagree.errors import (
 from minagree.rounds import (
     ZERO_HASH,
     ChainState,
-    CoveragePolicy,
     NotarizedBlock,
     Proposal,
     ProposalBody,
@@ -220,7 +219,7 @@ def test_make_proposal_full_coverage_single_tip():
 def test_make_proposal_empty_policy():
     dag = Dag()
     ctx = _simple_ctx()
-    p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, CoveragePolicy.empty()))
+    p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, ()))
     assert p.body.tip_set == ()
     assert p.body.merkle_root == b"\x00" * 32
 
@@ -237,9 +236,7 @@ def test_make_proposal_censoring_avoids_target_coverage():
     dag.attach(clean)
     ctx = _simple_ctx()
     honest = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag))
-    censoring = make_proposal(
-        ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, CoveragePolicy.censoring(t_bad))
-    )
+    censoring = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, censor_tx=t_bad))
     covered = dag.cover_set(censoring.body.tip_set)
     assert bad.vertex_id not in covered
     assert on_top.vertex_id not in covered
@@ -266,20 +263,20 @@ def test_proposal_respects_block_cap_in_merkle():
     v = make_vertex((dag.genesis_id, dag.genesis_id), "a", 1, txs)
     dag.attach(v)
     ctx = _simple_ctx()
-    p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, CoveragePolicy(), 3))
+    p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag, max_block_txs=3))
     assert p.body.merkle_root == merkle_root(list(txs[:3]))
 
 
-def _random_policy(rng, dag, mode):
+def _random_coverage(rng, dag, mode):
     if mode == "targets":
         coverable = sorted(dag.cover_set(dag.eligible_tips()))
-        return CoveragePolicy.cover_targets(rng.sample(coverable, rng.randrange(len(coverable) + 1)))
+        return {"targets": rng.sample(coverable, rng.randrange(len(coverable) + 1))}
     if mode == "censor":
         listed = [txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes]
-        return CoveragePolicy.censoring(rng.choice(listed))
+        return {"censor_tx": rng.choice(listed)}
     if mode == "empty":
-        return CoveragePolicy.empty()
-    return CoveragePolicy()
+        return {"targets": ()}
+    return {}
 
 
 @pytest.mark.parametrize("mode", ["max_coverage", "targets", "censor", "empty"])
@@ -289,18 +286,18 @@ def test_shared_body_proposals_equal_independent_proposals(mode):
         dag, ids = grow_random_dag(rng, rng.randrange(2, 25), txs_per_vertex=2)
         if trial % 3 == 0:
             dag.discard_stale_tips(current_round=len(ids) + 4, max_age=10)
-        policy = _random_policy(rng, dag, mode)
+        coverage = _random_coverage(rng, dag, mode)
         cap = rng.choice([None, 0, 1, 5])
         ctx = _simple_ctx(stakers=5, round_no=trial)
         prev = h32(f"prev-{trial}")
-        body = proposal_body(dag, policy, cap)
+        body = proposal_body(dag, **coverage, max_block_txs=cap)
         order = tuple(dag.ordered_transactions(body.tip_set))
         assert body.tx_list + body.carried_over == order
         assert body.tx_list == (order if cap is None else order[:cap])
         assert body.merkle_root == merkle_root(body.tx_list)
         for proposer in ctx.proposer_ranking[:3]:
             shared = make_proposal(ctx, proposer, prev, body)
-            alone = make_proposal(ctx, proposer, prev, proposal_body(dag, policy, cap))
+            alone = make_proposal(ctx, proposer, prev, proposal_body(dag, **coverage, max_block_txs=cap))
             assert shared.proposer_id == alone.proposer_id == proposer
             assert shared.body.tip_set == alone.body.tip_set
             assert shared.body.merkle_root == alone.body.merkle_root
@@ -332,7 +329,7 @@ def test_proposal_body_tip_set_matches_reference_greedy(kind, state):
         if kind == "targets":
             coverable = sorted(bfs_cover(dag, pool))
             targets = rng.sample(coverable, rng.randrange(len(coverable) + 1))
-            policy = CoveragePolicy.cover_targets(targets)
+            coverage = {"targets": targets}
         elif kind == "censor":
             listed = sorted({txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes})
             if not listed:
@@ -343,19 +340,17 @@ def test_proposal_body_tip_set_matches_reference_greedy(kind, state):
                 if not any(censored in dag.vertices[v].tx_hashes for v in bfs_cover(dag, (tip,)))
             ]
             targets = bfs_cover(dag, pool) - {dag.genesis_id}
-            policy = CoveragePolicy.censoring(censored)
+            coverage = {"censor_tx": censored}
         elif kind == "empty":
             targets = ()
-            policy = CoveragePolicy.empty()
+            coverage = {"targets": ()}
         else:
             targets = bfs_cover(dag, pool) - {dag.genesis_id}
-            policy = CoveragePolicy()
+            coverage = {}
         expected = tuple(sorted(reference_greedy_cover(dag, targets, pool)))
-        assert proposal_body(dag, policy).tip_set == expected
-        cap = rng.choice([None, 0, 3])
-        assert proposal_body(dag, CoveragePolicy.empty(), cap) == proposal_body(
-            dag, CoveragePolicy.cover_targets(()), cap
-        )
+        assert proposal_body(dag, **coverage).tip_set == expected
+        for cap in (None, 0, 3):
+            assert proposal_body(dag, (), max_block_txs=cap) == ProposalBody((), (), (), ZERO_HASH)
 
 
 # --- notarization ---
