@@ -9,7 +9,7 @@ transaction.
 """
 
 from .attachment import AttachmentStrategy, build_vertex, select_parents
-from .dag import Dag, Transaction, Vertex, genesis_vertex, make_vertex
+from .dag import Dag, Vertex, genesis_vertex, make_vertex
 from .harness import (
     DelayModel,
     SimConfig,
@@ -23,7 +23,6 @@ from .incentives import (
     LedgerAccounts,
     RewardPolicy,
     RoundEconomics,
-    RoundParams,
     censorship_cost,
     check_hard_constraint,
     collusion_profit,
@@ -63,10 +62,8 @@ __all__ = [
     "RewardPolicy",
     "RoundContext",
     "RoundEconomics",
-    "RoundParams",
     "SimConfig",
     "SimulationReport",
-    "Transaction",
     "Vertex",
     "assemble_block",
     "bandwidth_estimate",

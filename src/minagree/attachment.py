@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from heapq import nsmallest
 from typing import Sequence
 
-from .dag import Dag, Transaction, Vertex, make_vertex
+from .dag import Dag, Vertex, make_vertex
 from .errors import EmptyDag, UnknownParent
 
 STRATEGY_NAMES = ("random", "joint_cardinality", "metropolis", "greedy")
@@ -158,14 +158,14 @@ def select_parents(
 def build_vertex(
     dag: Dag,
     attacher_id: str,
-    mempool: Sequence[Transaction],
+    mempool: Sequence[bytes],
     parents: tuple[bytes, bytes],
     round_no: int,
 ) -> Vertex:
     """Assemble the vertex an attacher publishes for this round.
 
-    The payload lists every mempool transaction not already covered by
-    the chosen parents, preserving mempool arrival order.
+    The payload lists every mempool transaction hash not already covered
+    by the chosen parents, preserving mempool arrival order.
     """
     for parent in parents:
         if parent not in dag.vertices and parent not in dag.boundary:

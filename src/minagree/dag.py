@@ -50,20 +50,6 @@ def _be4(value: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class Transaction:
-    """A fee-bearing payload identified by its 32-byte hash."""
-
-    tx_hash: bytes
-    fee: int
-
-    def __post_init__(self) -> None:
-        if len(self.tx_hash) != HASH_BYTES:
-            raise ValueError(f"tx_hash must be {HASH_BYTES} bytes")
-        if self.fee < 0:
-            raise ValueError("fee must be non-negative")
-
-
-@dataclass(frozen=True)
 class Vertex:
     """An append-only DAG node carrying uncovered transaction hashes.
 
@@ -229,11 +215,11 @@ class Dag:
             raise UnknownTransaction(f"transaction {tx_hash.hex()} not in any active vertex")
         return sorted(self._decode_mask(mask))
 
-    def uncovered_hashes(self, transactions, cover_mask: int) -> tuple[bytes, ...]:
-        """Hashes of the transactions no vertex in the bitmask region lists,
+    def uncovered_hashes(self, tx_hashes, cover_mask: int) -> tuple[bytes, ...]:
+        """The transaction hashes no vertex in the bitmask region lists,
         in the given order."""
         get = self._tx_mask.get
-        return tuple([tx.tx_hash for tx in transactions if not get(tx.tx_hash, 0) & cover_mask])
+        return tuple([txh for txh in tx_hashes if not get(txh, 0) & cover_mask])
 
     def own_bit(self, vertex_id: bytes) -> int | None:
         """Single-bit mask for one active vertex, or None if not active.

@@ -7,6 +7,8 @@ propose (the top-ranked proposer's body, notarization, finality two
 rounds back), settle (fees, then pruning) and requeue (carry-over).
 The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
+A transaction is its 32-byte hash: the run keeps each injected hash's
+fee, and the mempool maps each queued hash to its requeue count.
 Everything derives from the configured seed and no wall clock or OS
 entropy enters, so identical configs give byte-identical reports.
 
@@ -34,7 +36,6 @@ from .dag import (
     HASH_BYTES,
     VERTEX_OVERHEAD_BYTES,
     Dag,
-    Transaction,
     _be8,
     _sha256,
     make_vertex,
@@ -43,7 +44,6 @@ from .errors import ConfigInvalid
 from .incentives import (
     RewardPolicy,
     RoundEconomics,
-    RoundParams,
     censorship_cost,
     distribute_rewards,
 )
@@ -229,9 +229,8 @@ class _Run:
         self.stakers = tuple(f"node-{i:05d}" for i in range(config.n_stakers))
         self.seed = ZERO_HASH
         self.prev_hash = ZERO_HASH
-        self.all_txs: dict[bytes, Transaction] = {}
-        self.mempool: dict[bytes, Transaction] = {}
-        self.requeues: dict[bytes, int] = {}
+        self.fees: dict[bytes, int] = {}  # every injected tx, in injection order
+        self.mempool: dict[bytes, int] = {}  # queued tx -> times requeued
         self.settled: set[bytes] = set()
         self.dropped: set[bytes] = set()
         # publicly unreferenced vertices, active or already settled
@@ -276,12 +275,9 @@ class _Run:
 
     def inject(self) -> None:
         for _ in range(self.config.mempool_rate):
-            tx = Transaction(
-                tx_hash=_sha256(b"tx", self.seed, _be8(len(self.all_txs) + 1)),
-                fee=_geometric_fee(self.rng),
-            )
-            self.all_txs[tx.tx_hash] = tx
-            self.mempool[tx.tx_hash] = tx
+            txh = _sha256(b"tx", self.seed, _be8(len(self.fees) + 1))
+            self.fees[txh] = _geometric_fee(self.rng)
+            self.mempool[txh] = 0
 
     def attach(self, ctx: RoundContext) -> None:
         """Deliver due arrivals, then attach one vertex per attacher in shuffled slot order."""
@@ -292,11 +288,10 @@ class _Run:
         for vid, parents in arrivals.pop(r, ()):
             self.frontier.add(vid)
             self.frontier.difference_update(parents)
-        ordered_frontier = sorted(self.frontier)
-        base_pool = [v for v in ordered_frontier if v in dag.vertices]
+        base_pool = sorted(v for v in self.frontier if v in dag.vertices)
         if not base_pool:
-            base_pool = ordered_frontier  # settled frontier keeps the chain alive
-        mempool_list = list(self.mempool.values())
+            base_pool = sorted(self.frontier)  # settled frontier keeps the chain alive
+        mempool_list = list(self.mempool)
         order = list(ctx.attachers)
         rng.shuffle(order)
         # this round's undelayed vertices, gossiped to the later slots
@@ -336,28 +331,28 @@ class _Run:
 
     def settle(self, body: ProposalBody) -> int:
         """Settle the block's transactions and prune its cover; returns its fees."""
-        fees = 0
+        total = 0
         for txh in body.tx_list:
             if txh in self.settled:
                 continue
             self.settled.add(txh)
             self.dropped.discard(txh)  # a sibling copy may settle a dropped tx
             self.mempool.pop(txh, None)
-            fees += self.all_txs[txh].fee
+            total += self.fees[txh]
         self.dag.prune_finalized(self.dag.cover_set(body.tip_set))
-        return fees
+        return total
 
     def requeue(self, body: ProposalBody) -> None:
         limit = self.config.carryover_retry_limit
         for txh in body.carried_over:
             if txh in self.settled or txh in self.dropped:
                 continue
-            attempts = self.requeues.get(txh, 0) + 1
+            attempts = self.mempool[txh] + 1
             if limit is not None and attempts > limit:
                 self.dropped.add(txh)
-                self.mempool.pop(txh, None)
+                del self.mempool[txh]
             else:
-                self.requeues[txh] = attempts  # stays queued for new vertices
+                self.mempool[txh] = attempts  # stays queued for new vertices
 
     def report(self) -> SimulationReport:
         ledger = distribute_rewards(self.history, self.config.reward_policy)
@@ -367,7 +362,7 @@ class _Run:
             "stddev_proposal_size": float(statistics.pstdev(sizes)),
             "finalized_height": self.chain.finalized_height,
             "total_fees_collected": sum(row.fees for row in self.rows),
-            "total_txs_injected": len(self.all_txs),
+            "total_txs_injected": len(self.fees),
             "total_txs_settled": len(self.settled),
             "total_txs_dropped": len(self.dropped),
             "mempool_remaining": len(self.mempool),
@@ -504,23 +499,20 @@ def censorship_experiment(config: SimConfig, target_depths) -> list[CensorshipRo
     total_fees = 0
     prev = dag.genesis_id
     for level in range(1, levels + 1):
-        tx = Transaction(
-            tx_hash=_sha256(b"censorship-tx", _be8(config.seed), _be8(level)),
-            fee=_geometric_fee(rng),
-        )
-        total_fees += tx.fee
-        spine = make_vertex((prev, prev), f"spine-{level:04d}", level, (tx.tx_hash,))
+        txh = _sha256(b"censorship-tx", _be8(config.seed), _be8(level))
+        total_fees += _geometric_fee(rng)
+        spine = make_vertex((prev, prev), f"spine-{level:04d}", level, (txh,))
         dag.attach(spine)
         if level >= 2:
             side = make_vertex((prev, prev), f"side-{level:04d}", level, ())
             dag.attach(side)
-        spine_txs.append(tx.tx_hash)
+        spine_txs.append(txh)
         prev = spine.vertex_id
 
-    params = RoundParams(n_vertices=dag.active_count - 1, round_fees=total_fees)
+    n_vertices = dag.active_count - 1  # genesis is not attachable work
     out = []
     for depth in depths:
         target = spine_txs[levels - 1 - depth]
-        cost, feasible = censorship_cost(dag, target, params, config.reward_policy)
+        cost, feasible = censorship_cost(dag, target, n_vertices, total_fees, config.reward_policy)
         out.append(CensorshipRow(depth=depth, soft_cost=cost, hard_feasible=feasible))
     return out

@@ -4,8 +4,9 @@ Token amounts are exact integers in the smallest unit; coverage ratios
 and shares are exact rationals.  A run's rewards are distributed once,
 over its whole history, into a fresh ledger; every payout rounds down
 and the remainder is accounted for explicitly, so the ledger conserves
-value bit-exactly over arbitrarily long runs.  The censorship price is
-the reward gap to honest maximal coverage, reported together with the
+value bit-exactly over arbitrarily long runs.  The censorship price of
+one transaction is the reward gap to honest maximal coverage for a
+round of given vertex count and fees, reported together with the
 censoring proposal's hard-constraint feasibility.
 """
 
@@ -67,12 +68,12 @@ class LedgerAccounts:
 
     ``residual`` holds value that is collected but not paid out: coverage
     penalties (when a producer's ratio is below one) and sub-token
-    rounding dust.  ``balances + residual`` always equals the sum of
-    ``fee_pool_per_round`` exactly.
+    rounding dust.  ``balances + residual`` always equals ``collected``,
+    the sum of every round's pot, exactly.
     """
 
     balances: dict[str, int] = field(default_factory=dict)
-    fee_pool_per_round: list[int] = field(default_factory=list)
+    collected: int = 0
     residual: Fraction = Fraction(0)
 
     def credit(self, node_id: str, amount: int) -> None:
@@ -82,7 +83,7 @@ class LedgerAccounts:
         return sum(self.balances.values())
 
     def conserves(self) -> bool:
-        return self.total_credited() + self.residual == sum(self.fee_pool_per_round)
+        return self.total_credited() + self.residual == self.collected
 
 
 @dataclass(frozen=True)
@@ -95,14 +96,6 @@ class RoundEconomics:
     attacher_ids: tuple[str, ...]
     committee_ids: tuple[str, ...]
     delta: Fraction
-
-
-@dataclass(frozen=True)
-class RoundParams:
-    """Economic context for a single-round what-if evaluation."""
-
-    n_vertices: int
-    round_fees: int
 
 
 def delta_score(n_descendants: int, n_vertices: int) -> Fraction:
@@ -158,7 +151,7 @@ def distribute_rewards(history, policy: RewardPolicy) -> LedgerAccounts:
 
     for row in rows:
         pot = row.fees + policy.base_block_reward
-        ledger.fee_pool_per_round.append(pot)
+        ledger.collected += pot
 
         shared = policy.non_producer_share * pot
         committee_pool = shared * policy.committee_share
@@ -250,7 +243,8 @@ def _coverage_excluding_genesis(dag: Dag, pool) -> int:
 def censorship_cost(
     dag: Dag,
     target_tx: bytes,
-    ctx: RoundParams,
+    n_vertices: int,
+    round_fees: int,
     policy: RewardPolicy,
 ) -> tuple[Fraction, bool]:
     """Reward forgone by the best proposal that excludes one transaction.
@@ -260,17 +254,18 @@ def censorship_cost(
     honest one covers everything reachable from all eligible tips.  The
     price depends only on each proposal's coverage, which is its pool's
     reachable set (genesis excluded), so no set cover is built for it.
-    Returns the reward gap versus honest maximal coverage and whether
-    the censoring proposal clears the minimum-coverage constraint.
+    Both are scored against ``n_vertices`` attachable vertices and a pot
+    of ``round_fees``.  Returns the reward gap versus honest maximal
+    coverage and whether the censoring proposal clears the
+    minimum-coverage constraint; a transaction no active vertex lists
+    raises :class:`UnknownTransaction`.
     """
-    dag.vertices_containing(target_tx)  # raises UnknownTransaction if absent
-
     n_honest = _coverage_excluding_genesis(dag, dag.eligible_tips())
     n_censor = _coverage_excluding_genesis(dag, censoring_tip_pool(dag, target_tx))
 
-    delta_honest = delta_score(n_honest, ctx.n_vertices)
-    delta_censor = delta_score(n_censor, ctx.n_vertices)
-    honest_reward = proposer_reward(ctx.round_fees, policy.base_block_reward, delta_honest, policy)
-    censor_reward = proposer_reward(ctx.round_fees, policy.base_block_reward, delta_censor, policy)
-    feasible = check_hard_constraint(n_censor, ctx.n_vertices, policy.hard_alpha)
+    delta_honest = delta_score(n_honest, n_vertices)
+    delta_censor = delta_score(n_censor, n_vertices)
+    honest_reward = proposer_reward(round_fees, policy.base_block_reward, delta_honest, policy)
+    censor_reward = proposer_reward(round_fees, policy.base_block_reward, delta_censor, policy)
+    feasible = check_hard_constraint(n_censor, n_vertices, policy.hard_alpha)
     return honest_reward - censor_reward, feasible

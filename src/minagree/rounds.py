@@ -89,6 +89,8 @@ def draw_roles(
     attacher or committee membership.  Every identity carries equal
     weight.
     """
+    if n_attachers < 0 or committee_size < 0:
+        raise ValueError("role counts must be non-negative")
     registry = list(stakers)
     if not registry:
         raise InsufficientStakers("empty staker registry")
@@ -261,7 +263,8 @@ def notarize_round(
     mode scores each proposal as coverage ratio minus ``lam`` times the
     normalised rank, rewarding proposals that span more of the DAG; it
     needs the dag to measure coverage.  The simulation is honest-majority:
-    every honest committee member signs the single winner.
+    every honest committee member signs the single winner, and quorum
+    counts distinct members only.
     """
     proposals = list(proposals)
     if not proposals:
@@ -270,7 +273,9 @@ def notarize_round(
     if len(set(seen_proposers)) != len(seen_proposers):
         raise ValueError("each proposer may submit at most one proposal")
 
-    signers = tuple(honest_signers) if honest_signers is not None else ctx.committee
+    signers = ctx.committee if honest_signers is None else tuple(dict.fromkeys(honest_signers))
+    if not set(signers) <= set(ctx.committee):
+        raise ValueError("only committee members may sign the notarization")
     if len(signers) * 2 <= len(ctx.committee):
         raise NoQuorum(
             f"{len(signers)} honest signer(s) cannot reach a majority of {len(ctx.committee)}"

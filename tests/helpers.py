@@ -118,7 +118,7 @@ def reference_merkle(leaves) -> bytes:
     return reference_merkle(mid)
 
 
-def set_cover_censorship_cost(dag: Dag, target_tx, ctx, policy) -> tuple:
+def set_cover_censorship_cost(dag: Dag, target_tx, n_vertices, round_fees, policy) -> tuple:
     """Censorship price from two explicit greedy set covers.
 
     Builds the honest and the censoring proposal's tip sets with
@@ -135,8 +135,8 @@ def set_cover_censorship_cost(dag: Dag, target_tx, ctx, policy) -> tuple:
     n_censor = covered(censoring_tip_pool(dag, target_tx))
 
     def reward(n_covered: int):
-        delta = delta_score(n_covered, ctx.n_vertices)
-        return proposer_reward(ctx.round_fees, policy.base_block_reward, delta, policy)
+        delta = delta_score(n_covered, n_vertices)
+        return proposer_reward(round_fees, policy.base_block_reward, delta, policy)
 
     cost = reward(n_honest) - reward(n_censor)
-    return cost, check_hard_constraint(n_censor, ctx.n_vertices, policy.hard_alpha)
+    return cost, check_hard_constraint(n_censor, n_vertices, policy.hard_alpha)

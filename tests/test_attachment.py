@@ -8,7 +8,7 @@ from scipy import stats
 
 from helpers import bfs_cover, brute_force_best_pair, grow_random_dag, h32
 from minagree.attachment import AttachmentStrategy, build_vertex, select_parents
-from minagree.dag import Dag, Transaction, make_vertex
+from minagree.dag import Dag, make_vertex
 from minagree.errors import EmptyDag, UnknownParent, UnknownVertex
 
 ALL_KINDS = ("random", "joint_cardinality", "metropolis", "greedy")
@@ -208,7 +208,7 @@ def test_selection_never_returns_stale_tip(kind):
 
 def test_build_vertex_filters_covered_transactions():
     t1, t2 = h32("t1"), h32("t2")
-    mempool = [Transaction(t1, 5), Transaction(t2, 3)]
+    mempool = [t1, t2]
     dag = Dag()
     g = dag.genesis_id
     assert build_vertex(dag, "alice", mempool, (g, g), 1).tx_hashes == (t1, t2)
@@ -233,12 +233,12 @@ def test_build_vertex_payload_matches_bfs_filter_on_random_dags():
             dag.prune_finalized(dag.cover_set((rng.choice(ids),)))
         listed = [txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes]
         fresh = [h32(f"fresh-{trial}-{k}") for k in range(5)]
-        mempool = [Transaction(txh, 1) for txh in rng.sample(listed, min(len(listed), 20)) + fresh]
+        mempool = rng.sample(listed, min(len(listed), 20)) + fresh
         rng.shuffle(mempool)
         parents = (rng.choice(ids), rng.choice(ids))
         covered = {txh for vid in bfs_cover(dag, parents) for txh in dag.vertices[vid].tx_hashes}
         vertex = build_vertex(dag, "alice", mempool, parents, len(ids))
-        assert vertex.tx_hashes == tuple(tx.tx_hash for tx in mempool if tx.tx_hash not in covered)
+        assert vertex.tx_hashes == tuple(txh for txh in mempool if txh not in covered)
         dag.attach(vertex)
 
 

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from helpers import bfs_cover, grow_random_dag, h32, in_degree_zero
-from minagree.dag import Dag, Transaction, genesis_vertex, make_vertex
+from minagree.dag import Dag, genesis_vertex, make_vertex
 from minagree.errors import (
     CycleViolation,
     DuplicateCoverage,
@@ -28,12 +31,12 @@ def build_diamond(tx_a=(), tx_b=(), tx_c=()):
     return dag, a.vertex_id, b.vertex_id, c.vertex_id
 
 
-def test_transaction_validation():
-    Transaction(h32("t"), 0)
-    with pytest.raises(ValueError):
-        Transaction(b"short", 1)
-    with pytest.raises(ValueError):
-        Transaction(h32("t"), -1)
+def test_make_vertex_rejects_non_32_byte_tx():
+    g = Dag().genesis_id
+    make_vertex((g, g), "alice", 1, (h32("t"),))
+    for bad in (b"short", h32("t") + b"\x00", b""):
+        with pytest.raises(ValueError):
+            make_vertex((g, g), "alice", 1, (h32("t"), bad))
 
 
 def test_genesis_is_only_tip():
@@ -304,3 +307,83 @@ def test_vertex_identity_is_content_addressed():
     assert a.vertex_id == b.vertex_id  # parent order is canonicalized
     c = make_vertex((g.vertex_id, h32("x")), "alice", 2, (h32("t"),))
     assert c.vertex_id != a.vertex_id
+
+
+class DagMachine(RuleBasedStateMachine):
+    """Random attach / stale-flag / prune sequences against brute force.
+
+    The machine keeps its own model of every id ever attached (with its
+    round) and of the stale flags, so tips, eligibility, covers, the
+    transaction order and stranded transactions are all recomputed from
+    the raw vertex records after every step.
+    """
+
+    TXS = [h32(f"machine-tx-{k}") for k in range(8)]
+
+    def __init__(self):
+        super().__init__()
+        self.dag = Dag()
+        self.rounds = {self.dag.genesis_id: 0}  # active and pruned ids alike
+        self.stale: set[bytes] = set()
+
+    @rule(data=st.data(), lag=st.integers(0, 2), txs=st.lists(st.sampled_from(TXS), max_size=3, unique=True))
+    def attach(self, data, lag, txs):
+        known = list(self.rounds)
+        parents = (data.draw(st.sampled_from(known)), data.draw(st.sampled_from(known)))
+        vertex = make_vertex(parents, f"v{len(known)}", max(self.rounds[p] for p in parents) + lag, tuple(txs))
+        covered = {txh for vid in bfs_cover(self.dag, parents) for txh in self.dag.vertices[vid].tx_hashes}
+        if covered & set(txs):
+            with pytest.raises(DuplicateCoverage):
+                self.dag.attach(vertex)
+            return
+        self.dag.attach(vertex)
+        self.rounds[vertex.vertex_id] = vertex.round
+        self.stale.difference_update(parents)
+
+    @rule(ahead=st.integers(0, 3), max_age=st.integers(1, 3))
+    def discard_stale_tips(self, ahead, max_age):
+        now = max(self.rounds.values()) + ahead
+        aged = {t for t in in_degree_zero(self.dag) - self.stale if now - self.rounds[t] > max_age}
+        assert self.dag.discard_stale_tips(now, max_age) == len(aged)
+        self.stale |= aged
+
+    @precondition(lambda self: self.dag.vertices)
+    @rule(data=st.data())
+    def prune_finalized(self, data):
+        roots = data.draw(st.lists(st.sampled_from(list(self.dag.vertices)), min_size=1, max_size=2))
+        finalized = bfs_cover(self.dag, roots)
+        self.dag.prune_finalized(finalized)
+        self.stale -= finalized
+
+    @invariant()
+    def matches_brute_force(self):
+        dag = self.dag
+        assert dag.boundary.keys() == self.rounds.keys() - dag.vertices.keys()
+        tips = in_degree_zero(dag)
+        assert set(dag.tips()) == tips
+        assert dag.eligible_tips() == sorted(tips - self.stale)
+        for vid in dag.vertices:
+            assert dag.cover_set((vid,)) == bfs_cover(dag, (vid,))
+        assert dag.cover_cardinality(tips) == len(dag.vertices)
+
+        listed = {txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes}
+        order = dag.ordered_transactions(tips)
+        assert len(order) == len(set(order)) and set(order) == listed
+        # topological: each tx sits after every tx of some lister's ancestors
+        pos = {txh: i for i, txh in enumerate(order)}
+        for txh in order:
+            assert any(
+                all(pos[u] < pos[txh] for a in bfs_cover(dag, (w,)) - {w} for u in dag.vertices[a].tx_hashes)
+                for w, vertex in dag.vertices.items()
+                if txh in vertex.tx_hashes
+            )
+
+        reachable = bfs_cover(dag, tips - self.stale)
+        live = {txh for vid in reachable for txh in dag.vertices[vid].tx_hashes}
+        assert dag.unreachable_transactions() == sorted(listed - live)
+
+
+DagMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None, derandomize=True, database=None
+)
+TestDagMachine = DagMachine.TestCase

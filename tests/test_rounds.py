@@ -125,6 +125,10 @@ def test_draw_roles_insufficient_stakers():
         draw_roles(h32("s"), ["a"], n_attachers=2, committee_size=1)
     with pytest.raises(InsufficientStakers):
         draw_roles(h32("s"), [], n_attachers=0, committee_size=0)
+    five = [f"n{i}" for i in range(5)]
+    for n_attachers, committee_size in ((-1, -2), (-1, 1), (1, -2)):
+        with pytest.raises(ValueError):
+            draw_roles(h32("s"), five, n_attachers=n_attachers, committee_size=committee_size)
 
 
 # --- greedy cover ---
@@ -384,6 +388,10 @@ def test_notarize_requires_proposals_and_quorum():
         notarize_round([], ctx)
     with pytest.raises(NoQuorum):
         notarize_round([_proposal("a", 0)], ctx, honest_signers=ctx.committee[:2])
+    with pytest.raises(NoQuorum):
+        notarize_round([_proposal("a", 0)], ctx, honest_signers=[ctx.committee[0]] * 3)
+    with pytest.raises(ValueError):
+        notarize_round([_proposal("a", 0)], ctx, honest_signers=["outsider"] * 3)
 
 
 def test_notarize_competitive_score():
