@@ -7,8 +7,7 @@ prices transaction exclusion by depth.  Reports are emitted as CSV or
 JSON with stable column order, suitable for plotting as-is.
 
 Exit codes: 0 success, 2 configuration or flag errors, 1 simulation
-failures.  The environment variable ``MINAGREE_LOG`` (error, info or
-debug) controls diagnostic verbosity on stderr.
+failures.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import argparse
 import csv
 import io
 import json
-import logging
-import os
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -37,8 +34,6 @@ from .harness import (
     run_simulation,
     table1_experiment,
 )
-
-log = logging.getLogger("minagree")
 
 
 def _as_int(value) -> int:
@@ -145,7 +140,7 @@ def build_sim_config(config_path: str | None, overrides) -> SimConfig:
             continue
         try:
             value = coerce(settings[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigInvalid(f"bad value for {key!r}: {settings[key]!r}") from exc
         if policy:
             nested.setdefault(policy, {})[name] = value
@@ -213,7 +208,6 @@ def _emit(text: str, output_path: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ConfigInvalid(f"cannot write output file {output_path}: {exc.strerror}") from exc
-        log.info("wrote %s", output_path)
     else:
         sys.stdout.write(text)
 
@@ -300,14 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    level = os.environ.get("MINAGREE_LOG", "error").lower()
-    logging.basicConfig(
-        level={"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-            level, logging.ERROR
-        ),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -317,13 +303,11 @@ def run_cli(argv=None) -> int:
     try:
         if args.command == "simulate":
             config = build_sim_config(args.config, args.overrides)
-            log.info("simulate: %d rounds, strategy %s", config.n_blocks, config.strategy.kind)
             report = run_simulation(config)
             _emit(render_simulation(report, args.format), args.output)
         elif args.command == "table1":
             strategies = _parse_strategies(args.strategies)
             sizes = _parse_sizes(args.sizes)
-            log.info("table1: %s x %s over %d blocks", strategies, sizes, args.blocks)
             cells = table1_experiment(
                 strategies, sizes, n_blocks=args.blocks, seed=args.seed,
                 visibility_horizon=args.horizon,

@@ -21,7 +21,6 @@ from heapq import heappop, heappush
 from .errors import (
     CycleViolation,
     DuplicateCoverage,
-    NotDownwardClosed,
     UnknownParent,
     UnknownTransaction,
     UnknownVertex,
@@ -301,24 +300,17 @@ class Dag:
         ]
         return sorted(stranded)
 
-    def prune_finalized(self, finalized_cover) -> "Dag":
-        """Drop a downward-closed set of active vertices, leaving markers.
+    def prune_finalized(self, roots) -> None:
+        """Drop the cover of ``roots``, leaving a marker for each vertex.
 
-        The reachability cache is rebuilt over the survivors; edges into
-        the pruned region count as zero from here on.
+        A cover holds every active parent of its members, so no survivor
+        loses an active parent.  The reachability cache is rebuilt over
+        the survivors; edges into the pruned region count as zero from
+        here on.
         """
-        cover = set(finalized_cover)
-        for vid in cover:
-            vertex = self.vertices.get(vid)
-            if vertex is None:
-                raise UnknownVertex(f"cannot prune unknown vertex {vid.hex()}")
-            for parent in vertex.parents:
-                if parent in self.vertices and parent not in cover:
-                    raise NotDownwardClosed(
-                        f"pruning {vid.hex()} would orphan parent {parent.hex()}"
-                    )
+        cover = self.cover_set(roots)
         if not cover:
-            return self
+            return
         for vid in cover:
             self.boundary[vid] = self.vertices[vid].round
             del self.vertices[vid]
@@ -331,7 +323,6 @@ class Dag:
         self._tx_mask = {}
         for vertex in self.vertices.values():
             self._index_vertex(vertex, self.cover_mask(vertex.parents))
-        return self
 
     def ordered_transactions(self, roots) -> list[bytes]:
         """Canonical transaction order over the cover set of ``roots``.

@@ -23,10 +23,6 @@ class CycleViolation(SimulatorError):
     """Round ordering was violated (a vertex older than one of its parents)."""
 
 
-class NotDownwardClosed(SimulatorError):
-    """A prune request was not closed under parent references."""
-
-
 class UnknownTransaction(SimulatorError):
     """A transaction hash does not appear in any active vertex."""
 

@@ -339,7 +339,7 @@ class _Run:
             self.dropped.discard(txh)  # a sibling copy may settle a dropped tx
             self.mempool.pop(txh, None)
             total += self.fees[txh]
-        self.dag.prune_finalized(self.dag.cover_set(body.tip_set))
+        self.dag.prune_finalized(body.tip_set)
         return total
 
     def requeue(self, body: ProposalBody) -> None:
@@ -436,8 +436,8 @@ def table1_experiment(
     if not 0 <= seed < 2**64:
         raise ConfigInvalid(f"seed must be in [0, 2**64), got {seed}")
     for n_vertices in sizes:
-        if n_vertices < 1:
-            raise ConfigInvalid(f"sizes must be >= 1, got {n_vertices}")
+        if not 1 <= n_vertices < 2**64:
+            raise ConfigInvalid(f"sizes must be in [1, 2**64), got {n_vertices}")
     cells = []
     for strategy in strategies:
         if not isinstance(strategy, AttachmentStrategy):

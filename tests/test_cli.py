@@ -5,6 +5,7 @@ import io
 import json
 import re
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -221,13 +222,21 @@ def test_config_file_round_trip(tmp_path):
     assert str(config.reward_policy.non_producer_share) == "1/4"
 
 
-def test_config_rejects_bad_values():
+def test_config_rejects_bad_values(tmp_path, capsys):
     with pytest.raises(ConfigInvalid):
         build_sim_config(None, ["seed=abc"])
     with pytest.raises(ConfigInvalid):
         build_sim_config(None, ["strategy=warp"])
     with pytest.raises(ConfigInvalid):
         build_sim_config(None, ["just-a-flag"])
+    cfg = tmp_path / "c.json"
+    for key in ("non_producer_share", "hard_alpha"):
+        cfg.write_text(json.dumps({key: "1/0"}))
+        sources = (["--set", f"{key}=1/0"], ["--config", str(cfg)])
+        for command, source in product(("simulate", "censorship"), sources):
+            code, out, err = run(capsys, command, *source)
+            assert (code, out) == (2, "")
+            assert f"bad value for {key!r}: '1/0'" in err
 
 
 def test_simulation_error_exits_1(capsys, monkeypatch):
@@ -457,11 +466,11 @@ def test_table1_rejects_empty_sizes(capsys):
     assert "empty sizes list" in err
 
 
-@pytest.mark.parametrize("sizes, bad", [("-5", -5), ("4,-1", -1)])
+@pytest.mark.parametrize("sizes, bad", [("-5", -5), ("4,-1", -1), (str(2**64), 2**64)])
 def test_table1_rejects_sizes_below_one(capsys, sizes, bad):
     code, out, err = run(capsys, "table1", f"--sizes={sizes}", "--blocks", "2", "--strategies", "random")
     assert (code, out) == (2, "")
-    assert f"sizes must be >= 1, got {bad}" in err
+    assert f"sizes must be in [1, 2**64), got {bad}" in err
     assert "Traceback" not in err
 
 

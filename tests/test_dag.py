@@ -12,7 +12,6 @@ from minagree.dag import Dag, genesis_vertex, make_vertex
 from minagree.errors import (
     CycleViolation,
     DuplicateCoverage,
-    NotDownwardClosed,
     UnknownParent,
     UnknownTransaction,
     UnknownVertex,
@@ -167,10 +166,12 @@ def test_prune_leaves_boundary_markers():
     assert dag.cover_cardinality((e.vertex_id,)) == 1
 
 
-def test_prune_rejects_non_downward_closed():
+def test_prune_takes_the_cover_of_its_roots():
     dag, a, b, c = build_diamond()
-    with pytest.raises(NotDownwardClosed):
-        dag.prune_finalized({a})
+    dag.prune_finalized({a})
+    assert set(dag.vertices) == {b, c}
+    assert set(dag.boundary) == {a, dag.genesis_id}
+    assert dag.cover_set((c,)) == {b, c}
 
 
 def test_prune_rejects_unknown():
@@ -352,7 +353,9 @@ class DagMachine(RuleBasedStateMachine):
     def prune_finalized(self, data):
         roots = data.draw(st.lists(st.sampled_from(list(self.dag.vertices)), min_size=1, max_size=2))
         finalized = bfs_cover(self.dag, roots)
-        self.dag.prune_finalized(finalized)
+        survivors = self.dag.vertices.keys() - finalized
+        self.dag.prune_finalized(roots)
+        assert self.dag.vertices.keys() == survivors
         self.stale -= finalized
 
     @invariant()

@@ -150,12 +150,11 @@ def _checked_prune(rounds_seen: list):
     belongs to the round of this prune, the n-th prune being round n."""
     prune = Dag.prune_finalized
 
-    def checked_prune(dag, cover):
-        prune(dag, cover)
+    def checked_prune(dag, roots):
+        prune(dag, roots)
         r = len(rounds_seen)
         rounds_seen.append(r)
         assert all(vertex.round == r for vertex in dag.vertices.values())
-        return dag
 
     return checked_prune
 
