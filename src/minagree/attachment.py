@@ -65,55 +65,92 @@ def _max_union_pair(dag: Dag, pool: Sequence[bytes]) -> tuple[bytes, bytes]:
     """Exact argmax of |cover(a) ∪ cover(b)| over distinct tip pairs.
 
     Ties resolve to the lexicographically smallest (low id, high id)
-    pair.  Every pair value is bounded above by
-    ``u[a] + u[b] - |cover(anchor)|`` where ``u[t]`` is the cover of t
-    joined with the largest single cover; enumerating in descending
-    order of that bound allows early exit, and the plain cardinality
-    sum prunes the sparse, mostly-disjoint pools cheaply.  The lex pass
-    then locates the first id-ordered pair reaching the maximum.
+    pair.  The anchor is the first member with the largest cover, and
+    ``excl[k] = |anchor ∪ k| - |anchor|``, so a pair with the anchor is
+    worth ``|anchor| + excl[k]``.  Only the anchor's descendants cover the
+    anchor itself, and their covers would be larger, so any other pair
+    misses it and is worth at most ``|anchor| + excl[i] + excl[j] - 1``,
+    and at most ``|i| + |j|``.  The other members are bucketed by
+    ``excl`` (a small integer), each bucket by descending cover size, so
+    the first miss of either bound ends a walk.
+
+    The value pass starts from the best anchor pair and walks bucket
+    pairs in descending ``excl``, exact-checking only the pairs whose
+    bounds beat the running maximum.  The lex pass reads the first
+    anchor pair reaching the maximum off ``excl``.  Only a pair whose
+    low id is at most that pair's can come first, so it walks those low
+    ids in ascending order, exact-checks each partner whose bounds reach
+    the maximum and keeps the smallest pair that does.
     """
     ordered = sorted(pool)
     n = len(ordered)
     masks = dag.tip_masks(ordered)
     pops = [m.bit_count() for m in masks]
-    anchor = max(range(n), key=lambda i: pops[i])
-    anchor_mask, anchor_pop = masks[anchor], pops[anchor]
-    u = [(anchor_mask | m).bit_count() for m in masks]
+    anchor_pop = max(pops)
+    anchor = pops.index(anchor_pop)
+    anchor_mask = masks[anchor]
+    # the intersection is no longer than the shorter mask; a union is not
+    excl = [pop - (anchor_mask & m).bit_count() for m, pop in zip(masks, pops)]
+    buckets: dict[int, list[int]] = {}
+    for k, e in enumerate(excl):
+        if e in buckets:
+            buckets[e].append(k)
+        else:
+            buckets[e] = [k]
+    buckets[0].remove(anchor)
+    if not buckets[0]:
+        del buckets[0]
+    for bucket in buckets.values():
+        bucket.sort(key=pops.__getitem__, reverse=True)
+    keys = sorted(buckets, reverse=True)
 
-    # Value pass: the anchor paired with its best complement is already a
-    # candidate, so seed with it and only examine pairs whose bound beats
-    # the running maximum.
-    best = max(u[i] for i in range(n) if i != anchor)
-    by_excl = sorted(range(n), key=lambda i: anchor_pop - u[i])
-    for oi in range(n - 1):
-        i = by_excl[oi]
-        if u[i] + u[by_excl[oi + 1]] - anchor_pop <= best:
+    best = anchor_pop + keys[0]
+    for a, e1 in enumerate(keys):
+        if anchor_pop + 2 * e1 - 1 <= best:
             break
-        for j in by_excl[oi + 1:]:
-            if u[i] + u[j] - anchor_pop <= best:
+        first = buckets[e1]
+        for e2 in keys[a:]:
+            if anchor_pop + e1 + e2 - 1 <= best:
                 break
-            if pops[i] + pops[j] <= best:
-                continue
-            value = (masks[i] | masks[j]).bit_count()
-            if value > best:
-                best = value
+            second = buckets[e2]
+            top = pops[second[0]]
+            for x, i in enumerate(first):
+                pop_i = pops[i]
+                if pop_i + top <= best:
+                    break
+                mask_i = masks[i]
+                for j in first[x + 1:] if e1 == e2 else second:
+                    if pop_i + pops[j] <= best:
+                        break
+                    value = (mask_i | masks[j]).bit_count()
+                    if value > best:
+                        best = value
 
-    # Lex pass: first ascending-id pair achieving the maximum.  A pair
-    # reaching ``best`` needs both its cardinality sum and its anchored
-    # bound at the maximum, so both ends pass these per-index bounds,
-    # which rule out almost every candidate.
-    excl = [ui - anchor_pop for ui in u]
+    # A pair (i, j), i < j, is keyed i * n + j: the smallest key comes first.
+    # A pair without the anchor reaches best only if its excl sum exceeds need.
     need = best - anchor_pop
-    pop_top = max(pops)
-    excl_top = max(excl)
-    viable = [k for k in range(n) if pops[k] + pop_top >= best and excl[k] + excl_top >= need]
-    for vi, i in enumerate(viable):
-        for j in viable[vi + 1:]:
-            if pops[i] + pops[j] < best or excl[i] + excl[j] < need:
-                continue
-            if (masks[i] | masks[j]).bit_count() == best:
-                return ordered[i], ordered[j]
-    raise AssertionError("pair search must find its own maximum")
+    k = next((k for k in range(n) if k != anchor and excl[k] == need), n)
+    pair = min(k, anchor) * n + max(k, anchor) if k < n else n * n
+    pop_floor = best - max(pops[bucket[0]] for bucket in buckets.values())
+    excl_floor = need - keys[0]
+    lows = [
+        k for k in range(min(pair // n + 1, n))
+        if k != anchor and pops[k] >= pop_floor and excl[k] > excl_floor
+    ]
+    for low in lows:
+        row = low * n
+        if row > pair:
+            break
+        pop_low, excl_low, mask_low = pops[low], excl[low], masks[low]
+        for e in keys:
+            if excl_low + e <= need:
+                break
+            for j in buckets[e]:
+                if pop_low + pops[j] < best:
+                    break
+                if low < j and row + j < pair and (mask_low | masks[j]).bit_count() == best:
+                    pair = row + j
+    return ordered[pair // n], ordered[pair % n]
 
 
 def select_parents(

@@ -140,7 +140,7 @@ def build_sim_config(config_path: str | None, overrides) -> SimConfig:
             continue
         try:
             value = coerce(settings[key])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigInvalid(f"bad value for {key!r}: {settings[key]!r}") from exc
         if policy:
             nested.setdefault(policy, {})[name] = value

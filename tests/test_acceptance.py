@@ -61,6 +61,22 @@ GRID_BANDS = {
     ("joint_cardinality", 1000): (215, 430),
 }
 
+# the exact cell means, recorded at seed 7 and 100 blocks
+GRID_MEANS = {
+    ("random", 10): 1.15,
+    ("joint_cardinality", 10): 1.33,
+    ("metropolis", 10): 1.11,
+    ("greedy", 10): 1.38,
+    ("random", 100): 12.72,
+    ("joint_cardinality", 100): 28.65,
+    ("metropolis", 100): 12.9,
+    ("greedy", 100): 27.58,
+    ("random", 1000): 131.72,
+    ("joint_cardinality", 1000): 283.3,
+    ("metropolis", 1000): 131.3,
+    ("greedy", 1000): 267.06,
+}
+
 
 @pytest.fixture(scope="module")
 def grid_cells():
@@ -77,6 +93,7 @@ def test_criterion_1_dag_construction_grid(grid_cells):
     means = {(c.strategy, c.n_vertices): c.mean_proposal_size for c in grid_cells}
     for key, (lo, hi) in GRID_BANDS.items():
         assert lo <= means[key] <= hi, f"{key}: mean {means[key]:.2f} outside [{lo}, {hi}]"
+    assert means == GRID_MEANS
     for n in (100, 1000):
         jc = means[("joint_cardinality", n)]
         greedy = means[("greedy", n)]
@@ -88,7 +105,7 @@ def test_criterion_1_dag_construction_grid(grid_cells):
     summary = ", ".join(
         f"{s[:2]}@{n}={means[(s, n)]:.1f}" for (s, n) in sorted(means)
     )
-    print(f"PASS criterion 1: proposal-size grid within bands and ordered ({summary})")
+    print(f"PASS criterion 1: proposal-size grid pinned, within bands and ordered ({summary})")
 
 
 def test_criterion_2_bandwidth_formulas_exact():

@@ -141,6 +141,25 @@ def test_joint_cardinality_matches_brute_force_on_pools_with_markers():
         assert got == best
 
 
+def test_joint_cardinality_matches_brute_force_on_nested_pools():
+    # Pools drawn from every active vertex and boundary marker hold
+    # ancestors beside their descendants, so covers nest and many unions
+    # tie, as in the attachment pools of a live run.
+    rng = random.Random(41)
+    checked = 0
+    while checked < 2000:
+        dag, ids = grow_random_dag(rng, rng.randrange(2, 80))
+        if rng.random() < 0.5:
+            dag.prune_finalized(rng.sample(ids[1:], rng.randrange(1, 3)))
+        members = sorted(dag.vertices) + sorted(dag.boundary)
+        if len(members) < 2:
+            continue
+        pool = rng.sample(members, rng.randrange(2, min(len(members), 50) + 1))
+        got = select_parents(dag, AttachmentStrategy("joint_cardinality"), random.Random(0), tips=pool)
+        assert got == brute_force_best_pair(dag, pool)
+        checked += 1
+
+
 @pytest.mark.parametrize("kind", ("joint_cardinality", "greedy"))
 def test_cover_strategies_reject_unknown_tip(kind):
     dag, _ = grow_random_dag(random.Random(6), 10)

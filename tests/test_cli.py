@@ -402,6 +402,15 @@ def test_float_keys_reject_bools(tmp_path, capsys, key, value):
     assert f"bad value for {key!r}" in err
 
 
+@pytest.mark.parametrize("key", ["metropolis_threshold", "visibility_horizon"])
+def test_float_keys_reject_ints_too_large_for_a_double(tmp_path, capsys, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert f"bad value for {key!r}" in err
+
+
 def test_float_keys_accept_numbers(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"metropolis_threshold": 1, "visibility_horizon": 0.5}))

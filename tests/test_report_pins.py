@@ -19,6 +19,13 @@ TABLE1_CORPUS = [
     for seed, horizon in product((7, 11), (0.5, 1.0))
 ]
 
+# sizes where the joint-cardinality pair search sees pools of dozens of tips
+TABLE1_WIDE_CORPUS = [
+    ["table1", "--format", "json", "--strategies", "all", "--sizes", "120,250", "--blocks", "4",
+     "--seed", str(seed), "--horizon", str(horizon)]
+    for seed, horizon in product((7, 11), (0.3, 1.0))
+]
+
 CENSORSHIP_CORPUS = [
     ["censorship", "--format", "json", "--depths", "0-39", "--set", f"seed={seed}",
      "--set", f"hard_alpha={alpha}"]
@@ -27,6 +34,7 @@ CENSORSHIP_CORPUS = [
 
 PINS = {
     "table1": (TABLE1_CORPUS, "1550d20199a6bc46be67c99a758e2e26b64fa45dadf1bba003df50758214e784"),
+    "table1_wide": (TABLE1_WIDE_CORPUS, "fbeca084e183ad5e9a7775442cba658ed9745c22a4a3d20fd6384b6369321db6"),
     "censorship": (CENSORSHIP_CORPUS, "0818e3b1615c6a43ffbf05fba5ac0822d799d1a2a2adfcb4f8c0f15ca5afb863"),
 }
 
