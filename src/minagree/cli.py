@@ -24,11 +24,8 @@ from typing import get_type_hints
 from .attachment import STRATEGY_NAMES
 from .errors import ConfigInvalid, SimulatorError
 from .harness import (
-    CensorshipRow,
     DelayModel,
-    RoundRecord,
     SimConfig,
-    Table1Cell,
     bandwidth_estimate,
     censorship_experiment,
     run_simulation,
@@ -130,9 +127,8 @@ def _read_settings(config_path: str | None, overrides) -> dict:
     return settings
 
 
-def build_sim_config(config_path: str | None, overrides) -> SimConfig:
-    """Apply the config file, then key=value overrides, to ``SimConfig()``."""
-    settings = _read_settings(config_path, overrides)
+def _sim_config(settings: dict) -> SimConfig:
+    """Apply the raw settings of :func:`_read_settings` to ``SimConfig()``."""
     top: dict = {}
     nested: dict = {}
     for key, (policy, name, coerce) in CONFIG_KEYS.items():
@@ -156,58 +152,29 @@ def build_sim_config(config_path: str | None, overrides) -> SimConfig:
         raise ConfigInvalid(str(exc)) from exc
 
 
-def _write_csv(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([("true" if v else "false") if isinstance(v, bool) else v for v in row])
-    return buf.getvalue()
+def build_sim_config(config_path: str | None, overrides) -> SimConfig:
+    """Apply the config file, then key=value overrides, to ``SimConfig()``."""
+    return _sim_config(_read_settings(config_path, overrides))
 
 
-def _rows_csv(row_type, rows) -> str:
-    """One column per field of the row dataclass, in declaration order."""
-    return _write_csv([f.name for f in fields(row_type)], [row.to_dict().values() for row in rows])
-
-
-def render_simulation(report, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2) + "\n"
-    return _rows_csv(RoundRecord, report.rows)
-
-
-def render_table1(cells, fmt: str) -> str:
-    if fmt == "json":
-        payload = {
-            "config": {"n_cells": len(cells)},
-            "rows": [cell.to_dict() for cell in cells],
-            "aggregates": {},
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    return _rows_csv(Table1Cell, cells)
-
-
-def render_bandwidth(dag_bytes: int, compact_bytes: int, fmt: str) -> str:
-    payload = {"dag_bytes": dag_bytes, "compact_bytes": compact_bytes}
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    return _write_csv(payload, [payload.values()])
-
-
-def render_censorship(rows, fmt: str) -> str:
-    if fmt == "json":
-        payload = {"rows": [row.to_dict() for row in rows]}
-        return json.dumps(payload, indent=2) + "\n"
-    return _rows_csv(CensorshipRow, rows)
-
-
-def _emit(text: str, output_path: str | None) -> None:
-    if output_path:
+def _emit(args, payload: dict, rows: list[dict]) -> None:
+    """Write a report to ``args.output``, or stdout: ``payload`` as JSON, or
+    ``rows`` as CSV under the first row's keys with bools as true/false."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([("true" if v else "false") if isinstance(v, bool) else v for v in row.values()])
+        text = buf.getvalue()
+    if args.output:
         try:
-            with open(output_path, "w", encoding="utf-8", newline="") as fh:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigInvalid(f"cannot write output file {output_path}: {exc.strerror}") from exc
+            raise ConfigInvalid(f"cannot write output file {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -262,13 +229,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def config_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", default=None, help="flat JSON config file")
+        p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
+
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument(
+            "--format", choices=("csv", "json"), default="csv",
+            help="report format; bandwidth always prints key=value on stdout and formats only the -o file",
+        )
 
     p_sim = sub.add_parser("simulate", help="run one simulation")
-    p_sim.add_argument("--config", default=None, help="flat JSON config file")
-    p_sim.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
+    config_flags(p_sim)
     common(p_sim)
 
     p_t1 = sub.add_parser("table1", help="DAG construction proposal-size grid")
@@ -286,8 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_bw)
 
     p_cen = sub.add_parser("censorship", help="censorship cost by target depth")
-    p_cen.add_argument("--config", default=None, help="flat JSON config file")
-    p_cen.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE")
+    config_flags(p_cen)
     p_cen.add_argument("--depths", default="0-8")
     common(p_cen)
     return parser
@@ -302,9 +274,8 @@ def run_cli(argv=None) -> int:
 
     try:
         if args.command == "simulate":
-            config = build_sim_config(args.config, args.overrides)
-            report = run_simulation(config)
-            _emit(render_simulation(report, args.format), args.output)
+            report = run_simulation(build_sim_config(args.config, args.overrides)).to_dict()
+            _emit(args, report, report["rows"])
         elif args.command == "table1":
             strategies = _parse_strategies(args.strategies)
             sizes = _parse_sizes(args.sizes)
@@ -312,12 +283,14 @@ def run_cli(argv=None) -> int:
                 strategies, sizes, n_blocks=args.blocks, seed=args.seed,
                 visibility_horizon=args.horizon,
             )
-            _emit(render_table1(cells, args.format), args.output)
+            rows = [cell.to_dict() for cell in cells]
+            _emit(args, {"config": {"n_cells": len(rows)}, "rows": rows, "aggregates": {}}, rows)
         elif args.command == "bandwidth":
             dag_bytes, compact_bytes = bandwidth_estimate(args.tps, args.t_block, args.n_vertices)
             print(f"dag_bytes={dag_bytes} compact_bytes={compact_bytes}")
             if args.output:
-                _emit(render_bandwidth(dag_bytes, compact_bytes, args.format), args.output)
+                row = {"dag_bytes": dag_bytes, "compact_bytes": compact_bytes}
+                _emit(args, row, [row])
         elif args.command == "censorship":
             settings = _read_settings(args.config, args.overrides)
             ignored = [key for key in settings if key not in CENSORSHIP_KEYS]
@@ -326,9 +299,9 @@ def run_cli(argv=None) -> int:
                     f"censorship does not read {', '.join(map(repr, ignored))}; "
                     f"it reads only {', '.join(CENSORSHIP_KEYS)}"
                 )
-            config = build_sim_config(args.config, args.overrides)
-            rows = censorship_experiment(config, _parse_depths(args.depths))
-            _emit(render_censorship(rows, args.format), args.output)
+            config = _sim_config(settings)
+            rows = [row.to_dict() for row in censorship_experiment(config, _parse_depths(args.depths))]
+            _emit(args, {"rows": rows}, rows)
     except ConfigInvalid as exc:
         print(f"minagree: configuration error: {exc}", file=sys.stderr)
         return 2

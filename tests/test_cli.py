@@ -3,13 +3,17 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+import minagree
 from minagree.attachment import AttachmentStrategy
 from minagree.cli import CENSORSHIP_KEYS, CONFIG_KEYS, build_sim_config, run_cli
 from minagree.errors import ConfigInvalid
@@ -21,6 +25,27 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_entry_point(*argv, stdin=None):
+    """Run ``python -m minagree.cli`` on the package under test."""
+    paths = [str(Path(minagree.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "minagree.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env, check=False,
+    )
+
+
+def test_entry_point_runs_the_readme_bandwidth_example():
+    done = run_entry_point("bandwidth", "--tps", "1000", "--t-block", "10", "--n-vertices", "100")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "dag_bytes=332900 compact_bytes=60000\n", "")
+
+
+def test_entry_point_exits_2_on_bad_input():
+    done = run_entry_point("table1", "--sizes", "0")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "minagree: configuration error: sizes must be in [1, 2**64), got 0\n"
 
 
 def test_bandwidth_prints_formula_values(capsys):
@@ -192,6 +217,20 @@ def test_censorship_accepts_the_keys_it_reads(capsys):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 1 + 3
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_censorship_reads_its_config_from_a_pipe(tmp_path):
+    # the file is read once, so a config that can only be read once works
+    text = json.dumps({"seed": 3, "base_block_reward": 10, "hard_alpha": "2/3"})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    argv = ("censorship", "--depths", "0-4", "--config")
+    piped = run_entry_point(*argv, "/dev/stdin", stdin=text)
+    from_file = run_entry_point(*argv, str(cfg))
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert len(piped.stdout.splitlines()) == 1 + 5
+    assert piped.stdout == from_file.stdout
 
 
 def test_censorship_rejects_reversed_depth_range(capsys):
