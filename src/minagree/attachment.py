@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from heapq import nsmallest
 from typing import Sequence
 
-from .dag import Dag, Vertex, make_vertex
+from .dag import Dag, Pending, Vertex, make_vertex
 from .errors import EmptyDag, UnknownParent
 
 STRATEGY_NAMES = ("random", "joint_cardinality", "metropolis", "greedy")
@@ -195,14 +195,18 @@ def select_parents(
 def build_vertex(
     dag: Dag,
     attacher_id: str,
-    mempool: Sequence[bytes],
+    mempool: Pending,
     parents: tuple[bytes, bytes],
     round_no: int,
 ) -> Vertex:
     """Assemble the vertex an attacher publishes for this round.
 
     The payload lists every mempool transaction hash not already covered
-    by the chosen parents, preserving mempool arrival order.
+    by the chosen parents, preserving mempool arrival order.  ``mempool``
+    is a :meth:`Dag.pending` snapshot, taken once per round and shared
+    by the round's attachers: the payload is a union of its runs, which
+    stays exact while every vertex attached since the snapshot was built
+    from it too.
     """
     for parent in parents:
         if parent not in dag.vertices and parent not in dag.boundary:

@@ -287,10 +287,10 @@ def run_cli(argv=None) -> int:
             _emit(args, {"config": {"n_cells": len(rows)}, "rows": rows, "aggregates": {}}, rows)
         elif args.command == "bandwidth":
             dag_bytes, compact_bytes = bandwidth_estimate(args.tps, args.t_block, args.n_vertices)
-            print(f"dag_bytes={dag_bytes} compact_bytes={compact_bytes}")
             if args.output:
                 row = {"dag_bytes": dag_bytes, "compact_bytes": compact_bytes}
                 _emit(args, row, [row])
+            print(f"dag_bytes={dag_bytes} compact_bytes={compact_bytes}")
         elif args.command == "censorship":
             settings = _read_settings(args.config, args.overrides)
             ignored = [key for key in settings if key not in CENSORSHIP_KEYS]

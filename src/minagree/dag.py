@@ -114,6 +114,24 @@ def genesis_vertex() -> Vertex:
     )
 
 
+@dataclass(frozen=True)
+class Pending:
+    """A mempool snapshot: ``hashes`` in arrival order, and ``runs``, the
+    maximal ``(start, end)`` slices of it whose entries the same active
+    vertices listed when :meth:`Dag.pending` built it.
+
+    A vertex built from the snapshot lists whole runs, so attaching it
+    adds its bit to every entry of a run or to none and each run stays
+    uniform; a vertex listing part of a run would split it.
+    """
+
+    hashes: tuple[bytes, ...]
+    runs: tuple[tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return len(self.hashes)
+
+
 class Dag:
     """The active transaction DAG plus boundary markers for pruned history.
 
@@ -214,11 +232,30 @@ class Dag:
             raise UnknownTransaction(f"transaction {tx_hash.hex()} not in any active vertex")
         return sorted(self._decode_mask(mask))
 
-    def uncovered_hashes(self, tx_hashes, cover_mask: int) -> tuple[bytes, ...]:
-        """The transaction hashes no vertex in the bitmask region lists,
-        in the given order."""
+    def pending(self, tx_hashes) -> Pending:
+        """Snapshot ``tx_hashes`` as a :class:`Pending`, split into the
+        maximal runs whose entries the same active vertices list."""
+        hashes = tuple(tx_hashes)
         get = self._tx_mask.get
-        return tuple([txh for txh in tx_hashes if not get(txh, 0) & cover_mask])
+        masks = [get(txh, 0) for txh in hashes]
+        starts = [k for k in range(len(masks)) if k == 0 or masks[k] != masks[k - 1]]
+        return Pending(hashes, tuple(zip(starts, starts[1:] + [len(hashes)])))
+
+    def uncovered_hashes(self, pending: Pending, cover_mask: int) -> tuple[bytes, ...]:
+        """The hashes of ``pending`` that no vertex in the bitmask region
+        lists, in arrival order.
+
+        Reads one mask per run, so every run must still be uniform: each
+        vertex attached since :meth:`pending` built it lists every hash
+        of a run or none, as a vertex built from the same snapshot does.
+        """
+        get = self._tx_mask.get
+        hashes = pending.hashes
+        out: list[bytes] = []
+        for start, end in pending.runs:
+            if not get(hashes[start], 0) & cover_mask:
+                out += hashes[start:end]
+        return tuple(out)
 
     def own_bit(self, vertex_id: bytes) -> int | None:
         """Single-bit mask for one active vertex, or None if not active.

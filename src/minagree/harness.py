@@ -5,6 +5,10 @@ logical timeline.  After the beacon advance and role draw, each round
 runs five phases: inject (mempool), attach (one vertex per attacher),
 propose (the top-ranked proposer's body, notarization, finality two
 rounds back), settle (fees, then pruning) and requeue (carry-over).
+Attach takes one ``Dag.pending`` snapshot of the mempool and cuts every
+attacher's payload from its runs of equally listed hashes; the runs
+stay exact because only vertices built from that snapshot attach until
+the phase ends.
 The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
 A transaction is its 32-byte hash: the run keeps each injected hash's
@@ -291,7 +295,7 @@ class _Run:
         base_pool = sorted(v for v in self.frontier if v in dag.vertices)
         if not base_pool:
             base_pool = sorted(self.frontier)  # settled frontier keeps the chain alive
-        mempool_list = list(self.mempool)
+        pending = dag.pending(self.mempool)
         order = list(ctx.attachers)
         rng.shuffle(order)
         # this round's undelayed vertices, gossiped to the later slots
@@ -308,7 +312,7 @@ class _Run:
             pool = [t for t in base_pool if t not in removed]
             pool += [v for v in adds if v not in removed]
             parents = select_parents(dag, strategy, rng, tips=pool)
-            vertex = build_vertex(dag, attacher, mempool_list, parents, r)
+            vertex = build_vertex(dag, attacher, pending, parents, r)
             dag.attach(vertex)
             delay = delay_model.draw(rng)
             if delay == 0:

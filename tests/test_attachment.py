@@ -230,38 +230,81 @@ def test_build_vertex_filters_covered_transactions():
     mempool = [t1, t2]
     dag = Dag()
     g = dag.genesis_id
-    assert build_vertex(dag, "alice", mempool, (g, g), 1).tx_hashes == (t1, t2)
+    assert build_vertex(dag, "alice", dag.pending(mempool), (g, g), 1).tx_hashes == (t1, t2)
 
     holder = make_vertex((g, g), "bob", 1, (t1,))
     dag.attach(holder)
-    v = build_vertex(dag, "alice", mempool, (holder.vertex_id, holder.vertex_id), 2)
+    v = build_vertex(dag, "alice", dag.pending(mempool), (holder.vertex_id, holder.vertex_id), 2)
     assert v.tx_hashes == (t2,)
 
     full = make_vertex((holder.vertex_id, holder.vertex_id), "carol", 2, (t2,))
     dag.attach(full)
-    empty = build_vertex(dag, "alice", mempool, (full.vertex_id, full.vertex_id), 3)
+    empty = build_vertex(dag, "alice", dag.pending(mempool), (full.vertex_id, full.vertex_id), 3)
     assert empty.tx_hashes == ()
+
+
+def _random_dag_and_mempool(rng, trial):
+    """A random DAG, pruned on odd trials, and a shuffled mempool of
+    hashes it lists and fresh ones."""
+    dag, ids = grow_random_dag(rng, rng.randrange(2, 30), txs_per_vertex=3)
+    if trial % 2:
+        # parents may then be boundary markers, which cover nothing
+        dag.prune_finalized(dag.cover_set((rng.choice(ids),)))
+    listed = [txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes]
+    fresh = [h32(f"fresh-{trial}-{k}") for k in range(5)]
+    mempool = rng.sample(listed, min(len(listed), 20)) + fresh
+    rng.shuffle(mempool)
+    return dag, ids, mempool
+
+
+def _bfs_payload(dag, mempool, parents):
+    covered = {txh for vid in bfs_cover(dag, parents) for txh in dag.vertices[vid].tx_hashes}
+    return tuple(txh for txh in mempool if txh not in covered)
 
 
 def test_build_vertex_payload_matches_bfs_filter_on_random_dags():
     rng = random.Random(71)
     for trial in range(40):
-        dag, ids = grow_random_dag(rng, rng.randrange(2, 30), txs_per_vertex=3)
-        if trial % 2:
-            # parents may then be boundary markers, which cover nothing
-            dag.prune_finalized(dag.cover_set((rng.choice(ids),)))
-        listed = [txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes]
-        fresh = [h32(f"fresh-{trial}-{k}") for k in range(5)]
-        mempool = rng.sample(listed, min(len(listed), 20)) + fresh
-        rng.shuffle(mempool)
+        dag, ids, mempool = _random_dag_and_mempool(rng, trial)
         parents = (rng.choice(ids), rng.choice(ids))
-        covered = {txh for vid in bfs_cover(dag, parents) for txh in dag.vertices[vid].tx_hashes}
-        vertex = build_vertex(dag, "alice", mempool, parents, len(ids))
-        assert vertex.tx_hashes == tuple(txh for txh in mempool if txh not in covered)
+        vertex = build_vertex(dag, "alice", dag.pending(mempool), parents, len(ids))
+        assert vertex.tx_hashes == _bfs_payload(dag, mempool, parents)
         dag.attach(vertex)
+
+
+def _assert_runs_maximal_and_uniform(dag, pending):
+    listed_by = {txh: set() for txh in pending.hashes}
+    for vid, vertex in dag.vertices.items():
+        for txh in vertex.tx_hashes:
+            if txh in listed_by:
+                listed_by[txh].add(vid)
+    sets = [listed_by[txh] for txh in pending.hashes]
+    runs = pending.runs
+    assert [start for start, _ in runs] == [0] + [end for _, end in runs[:-1]]
+    assert runs[-1][1] == len(pending) and all(start < end for start, end in runs)
+    for start, end in runs:
+        assert all(sets[k] == sets[start] for k in range(start, end))
+        assert start == 0 or sets[start] != sets[start - 1]
+
+
+def test_attachers_sharing_one_pending_match_bfs_filter_on_random_dags():
+    rng = random.Random(72)
+    for trial in range(40):
+        dag, ids, mempool = _random_dag_and_mempool(rng, trial)
+        pending = dag.pending(mempool)
+        assert pending.hashes == tuple(mempool)
+        # active vertices, boundary markers, then this snapshot's own attachers
+        pool = list(ids)
+        for k in range(8):
+            _assert_runs_maximal_and_uniform(dag, pending)
+            parents = (rng.choice(pool), rng.choice(pool))
+            vertex = build_vertex(dag, f"attacher-{k}", pending, parents, len(ids))
+            assert vertex.tx_hashes == _bfs_payload(dag, mempool, parents)
+            pool.append(dag.attach(vertex))
+        _assert_runs_maximal_and_uniform(dag, pending)
 
 
 def test_build_vertex_unknown_parent():
     dag = Dag()
     with pytest.raises(UnknownParent):
-        build_vertex(dag, "alice", [], (h32("ghost"), dag.genesis_id), 1)
+        build_vertex(dag, "alice", dag.pending([]), (h32("ghost"), dag.genesis_id), 1)

@@ -78,7 +78,7 @@ def test_report_corpus_is_pinned(capsys, tmp_path, group):
     assert digest.hexdigest() == expected
 
 
-# one invocation per kind of bad input; each exits 2, and only bandwidth prints first
+# one invocation per kind of bad input; each exits 2 and prints nothing on stdout
 BAD_INPUT_CORPUS = [
     # unknown keys
     ["simulate", "--set", "warp_speed=9"],
@@ -138,7 +138,7 @@ BAD_INPUT_FILES = {
     "censorship_bad_value.json": json.dumps({"seed": "x"}).encode(),
 }
 
-BAD_INPUT_PIN = "0bc16849f6ddb318c7b2e67ddc81e2a1706c365a7a27634f190c9ef5c634e209"
+BAD_INPUT_PIN = "0842189af82fe78ce8ded76e51b2f6eeeb83f9f9c4cde2f220380e326dcede1f"
 
 
 def test_bad_input_stderr_is_pinned(capsys, tmp_path):
@@ -150,6 +150,7 @@ def test_bad_input_stderr_is_pinned(capsys, tmp_path):
         code = run_cli([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
         captured = capsys.readouterr()
         assert code == 2, argv
+        assert captured.out == "", argv
         transcript = f"{code}\n{captured.out}{captured.err}"
         digest.update(transcript.replace(str(tmp_path), "{tmp}").encode())
     assert digest.hexdigest() == BAD_INPUT_PIN
