@@ -225,12 +225,17 @@ class Dag:
         masks = self._mask
         return [masks[t] if t in masks else self.cover_mask((t,)) for t in tips]
 
-    def vertices_containing(self, tx_hash: bytes) -> list[bytes]:
-        """Active vertices listing the transaction, ascending by id."""
+    def listing_mask(self, tx_hash: bytes) -> int:
+        """The own bits of the active vertices listing the transaction;
+        raises :class:`UnknownTransaction` when none lists it."""
         mask = self._tx_mask.get(tx_hash, 0)
         if not mask:
             raise UnknownTransaction(f"transaction {tx_hash.hex()} not in any active vertex")
-        return sorted(self._decode_mask(mask))
+        return mask
+
+    def vertices_containing(self, tx_hash: bytes) -> list[bytes]:
+        """Active vertices listing the transaction, ascending by id."""
+        return sorted(self._decode_mask(self.listing_mask(tx_hash)))
 
     def pending(self, tx_hashes) -> Pending:
         """Snapshot ``tx_hashes`` as a :class:`Pending`, split into the

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .dag import Dag
 from .errors import InvalidCounts, InvalidFraction
-from .rounds import censoring_tip_pool
 
 
 def _as_fraction(value) -> Fraction:
@@ -235,11 +234,6 @@ def collusion_profit(fee_f, epsilon, x) -> Fraction:
     return x * (fee_f - epsilon)
 
 
-def _coverage_excluding_genesis(dag: Dag, pool) -> int:
-    genesis_bit = dag.own_bit(dag.genesis_id) or 0
-    return (dag.cover_mask(pool) & ~genesis_bit).bit_count()
-
-
 def censorship_cost(
     dag: Dag,
     target_tx: bytes,
@@ -253,19 +247,30 @@ def censorship_cost(
     tips whose cover avoids every vertex that lists ``target_tx``; the
     honest one covers everything reachable from all eligible tips.  The
     price depends only on each proposal's coverage, which is its pool's
-    reachable set (genesis excluded), so no set cover is built for it.
-    Both are scored against ``n_vertices`` attachable vertices and a pot
-    of ``round_fees``.  Returns the reward gap versus honest maximal
-    coverage and whether the censoring proposal clears the
-    minimum-coverage constraint; a transaction no active vertex lists
-    raises :class:`UnknownTransaction`.
+    reachable set (genesis excluded), so no set cover is built for it:
+    one pass over the eligible tips' cover masks ORs both, a tip joining
+    the censoring one when its mask misses the target's
+    :meth:`~Dag.listing_mask`.  Both are scored against ``n_vertices``
+    attachable vertices and a pot of ``round_fees``.  Returns the reward
+    gap versus honest maximal coverage,
+    ``(1 - non_producer_share) * pot * (n_honest - n_censor) / n_vertices``,
+    and whether the censoring proposal clears the minimum-coverage
+    constraint.  A transaction no active vertex lists raises
+    :class:`UnknownTransaction`, and an ``n_vertices`` below 1 or below
+    the honest coverage raises :class:`InvalidCounts`.
     """
-    n_honest = _coverage_excluding_genesis(dag, dag.eligible_tips())
-    n_censor = _coverage_excluding_genesis(dag, censoring_tip_pool(dag, target_tx))
+    forbidden = dag.listing_mask(target_tx)
+    honest = censor = 0
+    for mask in dag.tip_masks(dag.tip_set - dag._stale):
+        honest |= mask
+        if not mask & forbidden:
+            censor |= mask
+    not_genesis = ~(dag.own_bit(dag.genesis_id) or 0)
+    n_honest = (honest & not_genesis).bit_count()
+    n_censor = (censor & not_genesis).bit_count()
 
-    delta_honest = delta_score(n_honest, n_vertices)
-    delta_censor = delta_score(n_censor, n_vertices)
-    honest_reward = proposer_reward(round_fees, policy.base_block_reward, delta_honest, policy)
-    censor_reward = proposer_reward(round_fees, policy.base_block_reward, delta_censor, policy)
+    delta_score(n_honest, n_vertices)  # range validation; n_censor <= n_honest
     feasible = check_hard_constraint(n_censor, n_vertices, policy.hard_alpha)
-    return honest_reward - censor_reward, feasible
+    pot = round_fees + policy.base_block_reward
+    gap = (1 - policy.non_producer_share) * pot * Fraction(n_honest - n_censor, n_vertices)
+    return gap, feasible

@@ -147,10 +147,10 @@ def greedy_min_cover(dag: Dag, targets, pool=None) -> list[bytes]:
 
 
 def censoring_tip_pool(dag: Dag, tx_hash: bytes) -> list[bytes]:
-    """Eligible tips whose cover avoids every vertex listing ``tx_hash``."""
-    forbidden = 0
-    for vid in dag.vertices_containing(tx_hash):
-        forbidden |= dag.own_bit(vid)
+    """Eligible tips whose cover avoids every vertex listing ``tx_hash``,
+    ascending by id: those whose cover mask shares no bit with the
+    transaction's :meth:`~Dag.listing_mask`."""
+    forbidden = dag.listing_mask(tx_hash)
     tips = dag.eligible_tips()
     return [t for t, mask in zip(tips, dag.tip_masks(tips)) if not mask & forbidden]
 

@@ -10,8 +10,9 @@ import random
 from itertools import combinations
 
 from minagree.dag import Dag, make_vertex
+from minagree.errors import UnknownTransaction
 from minagree.incentives import check_hard_constraint, delta_score, proposer_reward
-from minagree.rounds import censoring_tip_pool, greedy_min_cover
+from minagree.rounds import greedy_min_cover
 
 
 def h32(label) -> bytes:
@@ -118,21 +119,31 @@ def reference_merkle(leaves) -> bytes:
     return reference_merkle(mid)
 
 
+def bfs_censoring_pool(dag: Dag, target_tx) -> list:
+    """Eligible tips whose BFS cover misses every vertex listing the
+    transaction, with the listers found by scanning the vertex records."""
+    listers = {vid for vid, vertex in dag.vertices.items() if target_tx in vertex.tx_hashes}
+    if not listers:
+        raise UnknownTransaction(f"transaction {target_tx.hex()} not in any active vertex")
+    return [tip for tip in dag.eligible_tips() if not bfs_cover(dag, (tip,)) & listers]
+
+
 def set_cover_censorship_cost(dag: Dag, target_tx, n_vertices, round_fees, policy) -> tuple:
     """Censorship price from two explicit greedy set covers.
 
     Builds the honest and the censoring proposal's tip sets with
-    ``greedy_min_cover``, as ``proposal_body`` does, and counts what each
-    covers; ``censorship_cost`` must agree without building either cover.
+    ``greedy_min_cover``, as ``proposal_body`` does, over the pools of
+    :func:`bfs_censoring_pool`, and counts what each covers;
+    ``censorship_cost`` must agree without building either cover.
     """
-    dag.vertices_containing(target_tx)
+    censor_pool = bfs_censoring_pool(dag, target_tx)
 
     def covered(pool) -> int:
         tips = greedy_min_cover(dag, dag.cover_set(pool) - {dag.genesis_id}, pool=pool)
         return len(dag.cover_set(tips) - {dag.genesis_id})
 
     n_honest = covered(dag.eligible_tips())
-    n_censor = covered(censoring_tip_pool(dag, target_tx))
+    n_censor = covered(censor_pool)
 
     def reward(n_covered: int):
         delta = delta_score(n_covered, n_vertices)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import grow_random_dag, h32, set_cover_censorship_cost
+from helpers import bfs_censoring_pool, bfs_cover, grow_random_dag, h32, set_cover_censorship_cost
 from minagree import harness
 from minagree.attachment import AttachmentStrategy
 from minagree.dag import Dag, make_vertex
@@ -23,6 +23,7 @@ from minagree.incentives import (
     kth_price_clearing,
     proposer_reward,
 )
+from minagree.rounds import censoring_tip_pool
 
 
 # --- coverage ratio ---
@@ -352,6 +353,52 @@ def test_censorship_cost_matches_set_cover_oracle():
                 _assert_matches_set_cover_oracle(dag, rng)
 
 
+PROPERTY_TXS = [h32(f"property-tx-{k}") for k in range(6)]
+
+
+@st.composite
+def censorship_dags(draw):
+    """A random DAG whose sibling branches may list the same transaction,
+    optionally with stale tips flagged and a cover pruned."""
+    dag = Dag()
+    ids = [dag.genesis_id]
+    for k in range(draw(st.integers(1, 20))):
+        parents = tuple(ids[draw(st.integers(0, len(ids) - 1))] for _ in range(2))
+        covered = {txh for vid in bfs_cover(dag, parents) for txh in dag.vertices[vid].tx_hashes}
+        txs = draw(st.lists(st.sampled_from(PROPERTY_TXS), max_size=2, unique=True))
+        vertex = make_vertex(parents, f"p{k}", k + 1, tuple(t for t in txs if t not in covered))
+        dag.attach(vertex)
+        ids.append(vertex.vertex_id)
+    max_age = draw(st.none() | st.integers(1, len(ids)))
+    if max_age is not None:
+        dag.discard_stale_tips(current_round=len(ids), max_age=max_age)
+    if draw(st.booleans()):
+        dag.prune_finalized(draw(st.lists(st.sampled_from(ids[1:]), min_size=1, max_size=2)))
+    return dag
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    dag=censorship_dags(),
+    slack=st.integers(0, 3),
+    round_fees=st.integers(0, 500),
+    base_reward=st.integers(0, 50),
+    share=st.integers(0, 4),
+    alpha=st.integers(0, 4),
+)
+def test_censorship_cost_and_pool_match_oracles_on_random_dags(dag, slack, round_fees, base_reward, share, alpha):
+    policy = RewardPolicy(
+        base_block_reward=base_reward,
+        non_producer_share=Fraction(share, 4),
+        hard_alpha=Fraction(alpha, 4),
+    )
+    n_vertices = dag.active_count + slack
+    for tx in _listed_transactions(dag):
+        assert censoring_tip_pool(dag, tx) == bfs_censoring_pool(dag, tx)
+        args = (dag, tx, n_vertices, round_fees, policy)
+        assert censorship_cost(*args) == set_cover_censorship_cost(*args)
+
+
 def test_censorship_experiment_rows_equal_separate_calls(monkeypatch):
     calls = []
 
@@ -376,6 +423,28 @@ def test_censorship_unknown_transaction():
     dag, _ = _comb(3)
     with pytest.raises(UnknownTransaction):
         censorship_cost(dag, h32("ghost"), 5, 10, RewardPolicy())
+
+
+def test_censorship_unknown_once_every_lister_is_pruned():
+    dag, txs = _comb(4)
+    lister = next(vid for vid, vertex in dag.vertices.items() if txs[0] in vertex.tx_hashes)
+    dag.prune_finalized((lister,))
+    assert txs[0] not in _listed_transactions(dag)
+    with pytest.raises(UnknownTransaction):
+        censorship_cost(dag, txs[0], dag.active_count, 10, RewardPolicy())
+
+
+@pytest.mark.parametrize("target", [0, -1], ids=["deepest", "freshest"])
+def test_censorship_cost_rejects_vertex_counts_below_coverage(target):
+    dag, txs = _comb(5)
+    n_honest = dag.active_count - 1  # every tip is eligible; genesis is not counted
+    with pytest.raises(InvalidCounts):
+        censorship_cost(dag, txs[target], 0, 10, RewardPolicy())
+    # either target leaves the censoring coverage at most n_honest - 1, so
+    # only the honest coverage is out of range
+    with pytest.raises(InvalidCounts):
+        censorship_cost(dag, txs[target], n_honest - 1, 10, RewardPolicy())
+    censorship_cost(dag, txs[target], n_honest, 10, RewardPolicy())
 
 
 def test_reward_policy_validation():
