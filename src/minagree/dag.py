@@ -233,10 +233,6 @@ class Dag:
             raise UnknownTransaction(f"transaction {tx_hash.hex()} not in any active vertex")
         return mask
 
-    def vertices_containing(self, tx_hash: bytes) -> list[bytes]:
-        """Active vertices listing the transaction, ascending by id."""
-        return sorted(self._decode_mask(self.listing_mask(tx_hash)))
-
     def pending(self, tx_hashes) -> Pending:
         """Snapshot ``tx_hashes`` as a :class:`Pending`, split into the
         maximal runs whose entries the same active vertices list."""
@@ -328,19 +324,6 @@ class Dag:
                 self._stale.add(vid)
                 newly += 1
         return newly
-
-    def unreachable_transactions(self) -> list[bytes]:
-        """Transactions whose every active occurrence sits outside the
-        cover of all eligible tips (i.e. stranded under stale tips)."""
-        eligible_mask = 0
-        for vid in self.tip_set - self._stale:
-            eligible_mask |= self._mask[vid]
-        stranded = [
-            txh
-            for txh, mask in self._tx_mask.items()
-            if mask and not mask & eligible_mask
-        ]
-        return sorted(stranded)
 
     def prune_finalized(self, roots) -> None:
         """Drop the cover of ``roots``, leaving a marker for each vertex.

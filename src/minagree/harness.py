@@ -292,7 +292,7 @@ class _Run:
         for vid, parents in arrivals.pop(r, ()):
             self.frontier.add(vid)
             self.frontier.difference_update(parents)
-        base_pool = sorted(v for v in self.frontier if v in dag.vertices)
+        base_pool = sorted(v for v in dag.vertices if v in self.frontier)
         if not base_pool:
             base_pool = sorted(self.frontier)  # settled frontier keeps the chain alive
         pending = dag.pending(self.mempool)

@@ -22,7 +22,6 @@ the winning proposal, so its content is read from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .dag import HASH_BYTES, Dag, _be8, _sha256
 from .errors import (
@@ -249,22 +248,12 @@ class NotarizedBlock:
     block_hash: bytes
 
 
-def notarize_round(
-    proposals,
-    ctx: RoundContext,
-    mode: str = "rank",
-    lam: Fraction = Fraction(1, 2),
-    dag: Dag | None = None,
-    honest_signers=None,
-) -> NotarizedBlock:
+def notarize_round(proposals, ctx: RoundContext, honest_signers=None) -> NotarizedBlock:
     """Select the round winner and record the committee notarization.
 
-    ``rank`` mode takes the best (lowest) proposer rank.  ``competitive``
-    mode scores each proposal as coverage ratio minus ``lam`` times the
-    normalised rank, rewarding proposals that span more of the DAG; it
-    needs the dag to measure coverage.  The simulation is honest-majority:
-    every honest committee member signs the single winner, and quorum
-    counts distinct members only.
+    The winner is the proposal of the best (lowest) proposer rank.  The
+    simulation is honest-majority: every honest committee member signs
+    the single winner, and quorum counts distinct members only.
     """
     proposals = list(proposals)
     if not proposals:
@@ -281,22 +270,7 @@ def notarize_round(
             f"{len(signers)} honest signer(s) cannot reach a majority of {len(ctx.committee)}"
         )
 
-    if mode == "rank":
-        winner = min(proposals, key=lambda p: p.rank_index)
-    elif mode == "competitive":
-        if dag is None:
-            raise ValueError("competitive notarization needs the dag to score coverage")
-        n_vertices = max(len(ctx.attachers), 1)
-        n_stakers = len(ctx.proposer_ranking)
-
-        def score(p: Proposal) -> Fraction:
-            covered = dag.cover_set(p.body.tip_set) - {dag.genesis_id}
-            return Fraction(len(covered), n_vertices) - lam * Fraction(p.rank_index, n_stakers)
-
-        winner = min(proposals, key=lambda p: (-score(p), p.rank_index))
-    else:
-        raise ValueError(f"unknown notarization mode {mode!r}")
-
+    winner = min(proposals, key=lambda p: p.rank_index)
     return NotarizedBlock(
         round=ctx.round,
         proposal=winner,

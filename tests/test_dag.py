@@ -104,8 +104,8 @@ def test_rejected_vertex_leaves_the_dag_unchanged(case):
     assert dag.active_count == active
     assert bad.vertex_id not in dag.vertices
     with pytest.raises(UnknownTransaction):
-        dag.vertices_containing(t2)
-    assert dag.vertices_containing(t1) == [a.vertex_id]
+        dag.listing_mask(t2)
+    assert dag.listing_mask(t1) == dag.own_bit(a.vertex_id)
 
 
 def test_sibling_branches_may_repeat_a_transaction():
@@ -116,7 +116,7 @@ def test_sibling_branches_may_repeat_a_transaction():
     b = make_vertex((g, g), "bob", 1, (t1,))
     dag.attach(a)
     dag.attach(b)
-    assert sorted(dag.vertices_containing(t1)) == sorted([a.vertex_id, b.vertex_id])
+    assert dag.listing_mask(t1) == dag.own_bit(a.vertex_id) | dag.own_bit(b.vertex_id)
 
 
 def test_cover_unknown_root():
@@ -211,19 +211,7 @@ def test_ordered_transactions_deduplicates_sibling_repeats():
 def test_unknown_transaction_lookup():
     dag = Dag()
     with pytest.raises(UnknownTransaction):
-        dag.vertices_containing(h32("absent"))
-
-
-def test_unreachable_transactions_under_stale_tips():
-    t_live, t_stranded = h32("live"), h32("stranded")
-    dag = Dag()
-    g = dag.genesis_id
-    live = make_vertex((g, g), "alice", 12, (t_live,))
-    stranded = make_vertex((g, g), "bob", 0, (t_stranded,))
-    dag.attach(live)
-    dag.attach(stranded)
-    dag.discard_stale_tips(current_round=12, max_age=10)
-    assert dag.unreachable_transactions() == [t_stranded]
+        dag.listing_mask(h32("absent"))
 
 
 def test_cover_matches_bfs_oracle_on_random_dags():
@@ -380,10 +368,6 @@ class DagMachine(RuleBasedStateMachine):
                 for w, vertex in dag.vertices.items()
                 if txh in vertex.tx_hashes
             )
-
-        reachable = bfs_cover(dag, tips - self.stale)
-        live = {txh for vid in reachable for txh in dag.vertices[vid].tx_hashes}
-        assert dag.unreachable_transactions() == sorted(listed - live)
 
 
 DagMachine.TestCase.settings = settings(

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from minagree.harness import (
     CensorshipRow,
     DelayModel,
     SimConfig,
+    _geometric_fee,
     bandwidth_estimate,
     censorship_experiment,
     run_simulation,
@@ -436,6 +439,33 @@ def test_censorship_experiment_hard_alpha_one_infeasible():
     config = small_config(reward_policy=RewardPolicy(hard_alpha=Fraction(1)))
     rows = censorship_experiment(config, range(6))
     assert all(not r.hard_feasible for r in rows if r.depth >= 1)
+
+
+@pytest.mark.parametrize("seed", [7, 123])
+@pytest.mark.parametrize("max_depth", [8, 109])
+@pytest.mark.parametrize(
+    "policy",
+    [
+        RewardPolicy(),
+        RewardPolicy(base_block_reward=5, non_producer_share=Fraction(1, 3), hard_alpha=Fraction(2, 3)),
+    ],
+    ids=["default", "shared"],
+)
+def test_censorship_experiment_matches_comb_closed_form(seed, max_depth, policy):
+    # the comb has L spine levels and L - 1 side tips, 2L - 1 attachable
+    # vertices; censoring depth d forfeits the target, the 2d spine and
+    # side vertices above it
+    config = small_config(seed=seed, reward_policy=policy)
+    levels = max_depth + 2
+    rng = random.Random(seed)
+    pot = sum(_geometric_fee(rng) for _ in range(levels)) + policy.base_block_reward
+    n_vertices = 2 * levels - 1
+    rows = censorship_experiment(config, range(max_depth + 1))
+    assert [r.depth for r in rows] == list(range(max_depth + 1))
+    for r in rows:
+        lost = 2 * r.depth + 1
+        assert r.soft_cost == (1 - policy.non_producer_share) * pot * Fraction(lost, n_vertices)
+        assert r.hard_feasible == (n_vertices - lost >= math.ceil(policy.hard_alpha * n_vertices))
 
 
 def test_censorship_experiment_rejects_bad_depths():

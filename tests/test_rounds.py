@@ -1,7 +1,6 @@
 """Beacon, roles, Merkle commitments, proposals, notarization, finality."""
 
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -392,51 +391,6 @@ def test_notarize_requires_proposals_and_quorum():
         notarize_round([_proposal("a", 0)], ctx, honest_signers=[ctx.committee[0]] * 3)
     with pytest.raises(ValueError):
         notarize_round([_proposal("a", 0)], ctx, honest_signers=["outsider"] * 3)
-
-
-def test_notarize_competitive_score():
-    # coverage 1.0 at rank 3 of 10 stakers beats coverage 0.6 at rank 0
-    names = [f"n{i}" for i in range(10)]
-    ctx = draw_roles(h32("x"), names, 10, 10, round_no=1)
-    dag = Dag()
-    g = dag.genesis_id
-    chain = [g]
-    prev = g
-    for i in range(10):
-        v = make_vertex((prev, prev), "c", i, ())
-        dag.attach(v)
-        chain.append(v.vertex_id)
-        prev = v.vertex_id
-    full = _proposal(ctx.proposer_ranking[3], 3, tips=(chain[-1],))
-    partial = _proposal(ctx.proposer_ranking[0], 0, tips=(chain[6],))
-    block = notarize_round(
-        [partial, full], ctx, mode="competitive", lam=Fraction(1, 2), dag=dag
-    )
-    assert block.proposal is full
-
-
-def test_notarize_competitive_scale_invariance():
-    # scaling every coverage ratio and lambda by a common positive factor
-    # must leave the argmax unchanged
-    names = [f"n{i}" for i in range(10)]
-    ctx = draw_roles(h32("y"), names, 10, 10, round_no=2)
-    dag, _ = grow_random_dag(random.Random(3), 12)
-    tips = dag.tips()
-    proposals = [
-        _proposal(ctx.proposer_ranking[r], r, tips=(tips[r % len(tips)],))
-        for r in range(3)
-    ]
-    lam = Fraction(1, 2)
-    block = notarize_round(proposals, ctx, mode="competitive", lam=lam, dag=dag)
-
-    def score(p, scale):
-        covered = dag.cover_set(p.body.tip_set) - {dag.genesis_id}
-        delta = Fraction(len(covered), len(ctx.attachers))
-        return scale * delta - (scale * lam) * Fraction(p.rank_index, len(names))
-
-    for scale in (Fraction(1), Fraction(3), Fraction(7, 2)):
-        best = max(proposals, key=lambda p: (score(p, scale), -p.rank_index))
-        assert best.proposer_id == block.proposal.proposer_id
 
 
 # --- finality ---
