@@ -52,9 +52,8 @@ class AttachmentStrategy:
 
 
 def _random_pair(pool: Sequence[bytes], rng: random.Random) -> tuple[bytes, bytes]:
+    """Two distinct uniform draws; select_parents answers a one-tip pool itself."""
     first = pool[rng.randrange(len(pool))]
-    if len(pool) == 1:
-        return first, first
     second = first
     while second == first:
         second = pool[rng.randrange(len(pool))]

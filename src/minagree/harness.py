@@ -11,7 +11,7 @@ stay exact because only vertices built from that snapshot attach until
 the phase ends.
 The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
-A transaction is its 32-byte hash: the run keeps each injected hash's
+A transaction is its 32-byte hash: the run keeps each unsettled hash's
 fee, and the mempool maps each queued hash to its requeue count.
 Everything derives from the configured seed and no wall clock or OS
 entropy enters, so identical configs give byte-identical reports.
@@ -233,10 +233,9 @@ class _Run:
         self.stakers = tuple(f"node-{i:05d}" for i in range(config.n_stakers))
         self.seed = ZERO_HASH
         self.prev_hash = ZERO_HASH
-        self.fees: dict[bytes, int] = {}  # every injected tx, in injection order
+        # queued ⊆ unsettled: a dropped tx keeps its fee until a copy of it settles
+        self.fees: dict[bytes, int] = {}  # unsettled tx -> fee
         self.mempool: dict[bytes, int] = {}  # queued tx -> times requeued
-        self.settled: set[bytes] = set()
-        self.dropped: set[bytes] = set()
         # publicly unreferenced vertices, active or already settled
         self.frontier = {self.dag.genesis_id}
         self.arrivals: dict[int, list[tuple[bytes, tuple[bytes, ...]]]] = {}
@@ -247,7 +246,7 @@ class _Run:
     def round(self, r: int) -> None:
         self.seed = next_seed(self.seed, r)
         ctx = draw_roles(self.seed, self.stakers, self.config.n_attachers, self.config.committee_size, r)
-        self.inject()
+        self.inject(r)
         # the previous prune left only last round's vertices, and at first the genesis, active
         targets = [vid for vid in self.dag.vertices if vid != self.dag.genesis_id]
         self.attach(ctx)
@@ -277,9 +276,10 @@ class _Run:
             )
         )
 
-    def inject(self) -> None:
-        for _ in range(self.config.mempool_rate):
-            txh = _sha256(b"tx", self.seed, _be8(len(self.fees) + 1))
+    def inject(self, r: int) -> None:
+        rate = self.config.mempool_rate
+        for k in range(rate):
+            txh = _sha256(b"tx", self.seed, _be8(r * rate + k + 1))
             self.fees[txh] = _geometric_fee(self.rng)
             self.mempool[txh] = 0
 
@@ -337,23 +337,21 @@ class _Run:
         """Settle the block's transactions and prune its cover; returns its fees."""
         total = 0
         for txh in body.tx_list:
-            if txh in self.settled:
-                continue
-            self.settled.add(txh)
-            self.dropped.discard(txh)  # a sibling copy may settle a dropped tx
+            fee = self.fees.pop(txh, None)
+            if fee is None:
+                continue  # an earlier block settled a sibling copy
             self.mempool.pop(txh, None)
-            total += self.fees[txh]
+            total += fee
         self.dag.prune_finalized(body.tip_set)
         return total
 
     def requeue(self, body: ProposalBody) -> None:
         limit = self.config.carryover_retry_limit
         for txh in body.carried_over:
-            if txh in self.settled or txh in self.dropped:
-                continue
+            if txh not in self.mempool:
+                continue  # settled or dropped
             attempts = self.mempool[txh] + 1
             if limit is not None and attempts > limit:
-                self.dropped.add(txh)
                 del self.mempool[txh]
             else:
                 self.mempool[txh] = attempts  # stays queued for new vertices
@@ -361,14 +359,15 @@ class _Run:
     def report(self) -> SimulationReport:
         ledger = distribute_rewards(self.history, self.config.reward_policy)
         sizes = [row.proposal_size for row in self.rows]
+        injected = self.config.mempool_rate * len(self.rows)
         aggregates = {
             "mean_proposal_size": float(statistics.fmean(sizes)),
             "stddev_proposal_size": float(statistics.pstdev(sizes)),
             "finalized_height": self.chain.finalized_height,
             "total_fees_collected": sum(row.fees for row in self.rows),
-            "total_txs_injected": len(self.fees),
-            "total_txs_settled": len(self.settled),
-            "total_txs_dropped": len(self.dropped),
+            "total_txs_injected": injected,
+            "total_txs_settled": injected - len(self.fees),
+            "total_txs_dropped": len(self.fees) - len(self.mempool),
             "mempool_remaining": len(self.mempool),
             "active_vertices": self.dag.active_count,
             "balances": {node: bal for node, bal in sorted(ledger.balances.items()) if bal},

@@ -151,3 +151,28 @@ def set_cover_censorship_cost(dag: Dag, target_tx, n_vertices, round_fees, polic
 
     cost = reward(n_honest) - reward(n_censor)
     return cost, check_hard_constraint(n_censor, n_vertices, policy.hard_alpha)
+
+
+def replay_ledger(bodies, injected: int, retry_limit) -> dict:
+    """Settled, dropped and remaining counts replayed from the block bodies.
+
+    Each body, in round order, settles its ``tx_list`` and then requeues
+    its ``carried_over``, skipping settled and dropped transactions and
+    dropping one requeued more than ``retry_limit`` times.  A dropped
+    transaction that a later block settles counts as settled.
+    """
+    settled, dropped, attempts = set(), set(), {}
+    for body in bodies:
+        settled.update(body.tx_list)
+        for txh in body.carried_over:
+            if txh in settled or txh in dropped:
+                continue
+            attempts[txh] = attempts.get(txh, 0) + 1
+            if retry_limit is not None and attempts[txh] > retry_limit:
+                dropped.add(txh)
+    dropped -= settled
+    return {
+        "total_txs_settled": len(settled),
+        "total_txs_dropped": len(dropped),
+        "mempool_remaining": injected - len(settled) - len(dropped),
+    }
