@@ -7,7 +7,11 @@ Four ways to pick the two parents of a new vertex:
 * ``joint_cardinality``: the pair whose combined cover is largest.
 * ``metropolis``: uniform pair draws, accepted once the joint cover
   reaches a threshold fraction of the active vertex count, with a random
-  fallback when the draw budget runs out.
+  fallback when the draw budget runs out.  At 100 attachers or more the
+  default threshold is almost never reached: in the seed-7 Table-1 grid
+  no metropolis call accepted a pair at 100 (0 of 9,981) or 1000
+  (0 of 99,947) attachers, against 822 of 933 at 10.  Those cells
+  measure uniform random selection behind a 33-pair draw stream.
 * ``greedy``: each link maximised separately: the largest-cover tip
   first, then the largest among the rest (overlap ignored).
 
@@ -52,12 +56,26 @@ class AttachmentStrategy:
 
 
 def _random_pair(pool: Sequence[bytes], rng: random.Random) -> tuple[bytes, bytes]:
-    """Two distinct uniform draws; select_parents answers a one-tip pool itself."""
-    first = pool[rng.randrange(len(pool))]
-    second = first
-    while second == first:
-        second = pool[rng.randrange(len(pool))]
-    return first, second
+    """Two distinct uniform draws from a duplicate-free pool;
+    select_parents answers a one-tip pool itself.
+
+    Each index is drawn as ``rng.randrange(n)`` draws it: ``getrandbits``
+    of ``n.bit_length()`` bits until the value is below ``n``.  Skipping
+    ``randrange``'s argument handling keeps the stream bit for bit and
+    halves the cost of a pair.
+    """
+    n = len(pool)
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    i = getrandbits(k)
+    while i >= n:
+        i = getrandbits(k)
+    j = i
+    while j == i:
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+    return pool[i], pool[j]
 
 
 def _max_union_pair(dag: Dag, pool: Sequence[bytes]) -> tuple[bytes, bytes]:
@@ -180,9 +198,12 @@ def select_parents(
 
     if kind == "metropolis":
         needed = strategy.metropolis_threshold * dag.active_count
+        # |A ∪ B| <= |A| + |B| <= 2 * max_cover: below that no pair can
+        # pass, so only the checks are skipped and the draws stay the same
+        reachable = 2 * dag.max_cover >= needed
         for _ in range(strategy.metropolis_max_iters):
             pair = _random_pair(pool, rng)
-            if dag.cover_cardinality(pair) >= needed:
+            if reachable and dag.cover_cardinality(pair) >= needed:
                 return pair
         return _random_pair(pool, rng)
 

@@ -140,6 +140,8 @@ class Dag:
     new vertices may still attach to the settled frontier.  Markers count
     as zero everywhere: cover sets, cardinalities and transaction
     orderings see active vertices only.
+
+    ``max_cover`` is the largest cover size among the active vertices.
     """
 
     def __init__(self) -> None:
@@ -150,6 +152,7 @@ class Dag:
         self._ids: list[bytes] = []
         self._mask: dict[bytes, int] = {}
         self._tx_mask: dict[bytes, int] = {}
+        self.max_cover = 0
         genesis = genesis_vertex()
         self.genesis_id = genesis.vertex_id
         self._store(genesis, parents_mask=0)
@@ -161,7 +164,10 @@ class Dag:
         vid = vertex.vertex_id
         own = 1 << len(self._ids)
         self._ids.append(vid)
-        self._mask[vid] = own | parents_mask
+        mask = self._mask[vid] = own | parents_mask
+        cover = mask.bit_count()
+        if cover > self.max_cover:
+            self.max_cover = cover
         tx_mask = self._tx_mask
         get = tx_mask.get
         for txh in vertex.tx_hashes:
@@ -346,6 +352,7 @@ class Dag:
         self._ids = []
         self._mask = {}
         self._tx_mask = {}
+        self.max_cover = 0
         for vertex in self.vertices.values():
             self._index_vertex(vertex, self.cover_mask(vertex.parents))
 

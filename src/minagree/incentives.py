@@ -270,7 +270,7 @@ def censorship_cost(
     n_censor = (censor & not_genesis).bit_count()
 
     delta_score(n_honest, n_vertices)  # range validation; n_censor <= n_honest
-    feasible = check_hard_constraint(n_censor, n_vertices, policy.hard_alpha)
+    feasible = n_censor >= math.ceil(policy.hard_alpha * n_vertices)
     pot = round_fees + policy.base_block_reward
     gap = (1 - policy.non_producer_share) * pot * Fraction(n_honest - n_censor, n_vertices)
     return gap, feasible

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from helpers import bfs_cover, brute_force_best_pair, grow_random_dag, h32
-from minagree.attachment import AttachmentStrategy, build_vertex, select_parents
+from minagree.attachment import AttachmentStrategy, _random_pair, build_vertex, select_parents
 from minagree.dag import Dag, make_vertex
 from minagree.errors import EmptyDag, UnknownParent, UnknownVertex
 
@@ -198,6 +198,67 @@ def test_metropolis_low_threshold_matches_random_distribution():
     scale = sum(observed) / sum(expected)
     result = stats.chisquare(observed, [e * scale for e in expected])
     assert result.pvalue > 0.01
+
+
+def randrange_pair(pool, rng):
+    """The draw rule that _random_pair reproduces."""
+    first = pool[rng.randrange(len(pool))]
+    second = first
+    while second == first:
+        second = pool[rng.randrange(len(pool))]
+    return first, second
+
+
+PAIR_POOL_SIZES = sorted({*range(2, 71), *(2**e + d for e in range(2, 17) for d in (-1, 0, 1))})
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2020])
+def test_random_pair_draws_the_randrange_stream(seed):
+    for n in PAIR_POOL_SIZES:
+        pool = range(n)
+        fast, slow = random.Random(seed * 100_003 + n), random.Random(seed * 100_003 + n)
+        for _ in range(20):
+            assert _random_pair(pool, fast) == randrange_pair(pool, slow)
+        assert fast.getstate() == slow.getstate()
+
+
+def metropolis_checking_every_draw(dag, strategy, rng, pool):
+    """select_parents' metropolis branch with every draw checked, the
+    reference for its reachability skip.  Returns the pair and whether it
+    passed the threshold."""
+    needed = strategy.metropolis_threshold * dag.active_count
+    for _ in range(strategy.metropolis_max_iters):
+        pair = randrange_pair(pool, rng)
+        if dag.cover_cardinality(pair) >= needed:
+            return pair, True
+    return randrange_pair(pool, rng), False
+
+
+def star_dag(n_leaves: int) -> Dag:
+    dag = Dag()
+    g = dag.genesis_id
+    for k in range(n_leaves):
+        dag.attach(make_vertex((g, g), f"leaf-{k}", 1, ()))
+    return dag
+
+
+@pytest.mark.parametrize(
+    "dag, skipped",
+    [(star_dag(30), True), (grow_random_dag(random.Random(5), 20)[0], False)],
+    ids=["no_pair_reaches_threshold", "some_pair_accepted"],
+)
+def test_metropolis_matches_a_loop_checking_every_draw(dag, skipped):
+    strategy = AttachmentStrategy("metropolis")
+    assert (2 * dag.max_cover < strategy.metropolis_threshold * dag.active_count) == skipped
+    pool = dag.tips()
+    accepted = 0
+    for seed in range(40):
+        fast, slow = random.Random(seed), random.Random(seed)
+        expected, passed = metropolis_checking_every_draw(dag, strategy, slow, pool)
+        assert select_parents(dag, strategy, fast, tips=pool) == expected
+        assert fast.getstate() == slow.getstate()
+        accepted += passed
+    assert (accepted == 0) == skipped
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

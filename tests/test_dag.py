@@ -353,8 +353,12 @@ class DagMachine(RuleBasedStateMachine):
         tips = in_degree_zero(dag)
         assert set(dag.tips()) == tips
         assert dag.eligible_tips() == sorted(tips - self.stale)
+        cover_sizes = [0]
         for vid in dag.vertices:
-            assert dag.cover_set((vid,)) == bfs_cover(dag, (vid,))
+            cover = bfs_cover(dag, (vid,))
+            assert dag.cover_set((vid,)) == cover
+            cover_sizes.append(len(cover))
+        assert dag.max_cover == max(cover_sizes)
         assert dag.cover_cardinality(tips) == len(dag.vertices)
 
         listed = {txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes}
