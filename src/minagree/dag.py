@@ -148,7 +148,6 @@ class Dag:
         self.vertices: dict[bytes, Vertex] = {}
         self.boundary: dict[bytes, int] = {}
         self.tip_set: set[bytes] = set()
-        self._stale: set[bytes] = set()
         self._ids: list[bytes] = []
         self._mask: dict[bytes, int] = {}
         self._tx_mask: dict[bytes, int] = {}
@@ -179,7 +178,6 @@ class Dag:
         self._index_vertex(vertex, parents_mask)
         for parent in vertex.parents:
             self.tip_set.discard(parent)
-            self._stale.discard(parent)
         self.tip_set.add(vid)
 
     def _decode_mask(self, mask: int) -> set[bytes]:
@@ -196,13 +194,9 @@ class Dag:
     def active_count(self) -> int:
         return len(self.vertices)
 
-    def tips(self) -> list[bytes]:
+    def eligible_tips(self) -> list[bytes]:
         """Active vertices with no in-coming edge, ascending by id."""
         return sorted(self.tip_set)
-
-    def eligible_tips(self) -> list[bytes]:
-        """:meth:`tips` that are not flagged stale, ascending by id."""
-        return sorted(self.tip_set - self._stale)
 
     def cover_mask(self, roots) -> int:
         """Bitmask form of :meth:`cover_set` (positions into active ids)."""
@@ -316,20 +310,12 @@ class Dag:
         return vid
 
     def discard_stale_tips(self, current_round: int, max_age: int) -> int:
-        """Flag tips older than ``max_age`` rounds as ineligible.
+        """Always raises: no tip is ever flagged, every tip is eligible.
 
-        Returns the number of tips newly flagged.  Flagged tips stay in
-        the graph for auditing; they are only excluded from parent
-        selection and proposal coverage.
+        The name stays bound only because ``bench/tracing.py`` wraps
+        ``Dag.discard_stale_tips``; it goes with that wrap.
         """
-        if max_age < 1:
-            raise ValueError("max_age must be >= 1")
-        newly = 0
-        for vid in sorted(self.tip_set - self._stale):
-            if current_round - self.vertices[vid].round > max_age:
-                self._stale.add(vid)
-                newly += 1
-        return newly
+        raise NotImplementedError("stale tips are no longer flagged; every tip is eligible")
 
     def prune_finalized(self, roots) -> None:
         """Drop the cover of ``roots``, leaving a marker for each vertex.
@@ -346,7 +332,6 @@ class Dag:
             self.boundary[vid] = self.vertices[vid].round
             del self.vertices[vid]
             self.tip_set.discard(vid)
-            self._stale.discard(vid)
         # Rebuild the dense bit indices over the survivors.  Insertion
         # order of self.vertices is topological, so one pass suffices.
         self._ids = []

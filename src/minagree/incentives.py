@@ -261,7 +261,7 @@ def censorship_cost(
     """
     forbidden = dag.listing_mask(target_tx)
     honest = censor = 0
-    for mask in dag.tip_masks(dag.tip_set - dag._stale):
+    for mask in dag.tip_masks(dag.tip_set):
         honest |= mask
         if not mask & forbidden:
             censor |= mask

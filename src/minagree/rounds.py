@@ -206,7 +206,6 @@ def proposal_body(
     """
     if dag.active_count == 0:
         raise EmptyDag("cannot propose over an empty DAG")
-    # stale-tip subgraphs are excluded from proposal coverage
     if censor_tx is None:
         pool = dag.eligible_tips()
     else:

@@ -9,6 +9,8 @@ import hashlib
 import random
 from itertools import combinations
 
+import pytest
+
 from minagree.dag import Dag, make_vertex
 from minagree.errors import UnknownTransaction
 from minagree.incentives import check_hard_constraint, delta_score, proposer_reward
@@ -19,6 +21,14 @@ def h32(label) -> bytes:
     if isinstance(label, str):
         label = label.encode("utf-8")
     return hashlib.sha256(label).digest()
+
+
+def raises_exactly(call, error, message) -> None:
+    """``call()`` raises ``error`` itself, not a subclass, with ``message``."""
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 def bfs_cover(dag: Dag, roots) -> set:

@@ -141,7 +141,7 @@ def test_criterion_4_greedy_cover_quality():
             continue
         chosen = greedy_min_cover(dag, targets)
         assert set(targets) <= dag.cover_set(chosen)
-        optimum = brute_force_min_cover(dag, targets, dag.tips())
+        optimum = brute_force_min_cover(dag, targets, dag.eligible_tips())
         assert len(chosen) <= optimum * bound
         checked += 1
     print("PASS criterion 4: greedy cover complete and within (1+ln 20) of optimum, 200 DAGs")

