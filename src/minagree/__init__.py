@@ -32,6 +32,7 @@ from .incentives import (
     proposer_reward,
 )
 from .rounds import (
+    BlockHeader,
     ChainState,
     NotarizedBlock,
     Proposal,
@@ -52,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttachmentStrategy",
+    "BlockHeader",
     "ChainState",
     "Dag",
     "DelayModel",

@@ -158,8 +158,9 @@ class Dag:
 
     # --- internal bookkeeping ---
 
-    def _index_vertex(self, vertex: Vertex, parents_mask: int) -> None:
-        """Give the vertex the next dense bit and add it to the masks."""
+    def _index_vertex(self, vertex: Vertex, parents_mask: int) -> int:
+        """Give the vertex the next dense bit and its cover mask; returns
+        the bit.  The caller adds the bit to its listed hashes' masks."""
         vid = vertex.vertex_id
         own = 1 << len(self._ids)
         self._ids.append(vid)
@@ -167,10 +168,7 @@ class Dag:
         cover = mask.bit_count()
         if cover > self.max_cover:
             self.max_cover = cover
-        tx_mask = self._tx_mask
-        get = tx_mask.get
-        for txh in vertex.tx_hashes:
-            tx_mask[txh] = get(txh, 0) | own
+        return own
 
     def _store(self, vertex: Vertex, parents_mask: int) -> None:
         vid = vertex.vertex_id
@@ -233,6 +231,10 @@ class Dag:
             raise UnknownTransaction(f"transaction {tx_hash.hex()} not in any active vertex")
         return mask
 
+    def is_listed(self, tx_hash: bytes) -> bool:
+        """Whether any active vertex lists the transaction."""
+        return tx_hash in self._tx_mask
+
     def pending(self, tx_hashes) -> Pending:
         """Snapshot ``tx_hashes`` as a :class:`Pending`, split into the
         maximal runs whose entries the same active vertices list."""
@@ -275,7 +277,7 @@ class Dag:
         Parents must exist (active or boundary marker), the vertex's round
         may not precede a parent's, and its transaction list must name
         each transaction once and be disjoint from everything its parents
-        already cover.
+        already cover.  A rejected vertex leaves the DAG unchanged.
         """
         vid = vertex.vertex_id
         if vid in self.vertices or vid in self.boundary:
@@ -295,19 +297,38 @@ class Dag:
                 raise CycleViolation(
                     f"vertex round {vertex.round} precedes parent round {parent_round}"
                 )
+        # one pass checks and indexes each listed hash: a parent's bit
+        # means already covered, the vertex's own bit a repeat
         tx_hashes = vertex.tx_hashes
-        if len(set(tx_hashes)) != len(tx_hashes):
-            seen: set[bytes] = set()
-            for txh in tx_hashes:
-                if txh in seen:
-                    raise DuplicateCoverage(f"transaction {txh.hex()} listed twice")
-                seen.add(txh)
-        get = self._tx_mask.get
-        for txh in tx_hashes:
-            if get(txh, 0) & parents_mask:
-                raise DuplicateCoverage(f"transaction {txh.hex()} already covered")
+        tx_mask = self._tx_mask
+        get = tx_mask.get
+        own = 1 << len(self._ids)
+        taken = parents_mask | own
+        for k, txh in enumerate(tx_hashes):
+            mask = get(txh, 0)
+            if mask & taken:
+                self._reject(tx_hashes, k, own)
+            tx_mask[txh] = mask | own
         self._store(vertex, parents_mask)
         return vid
+
+    def _reject(self, tx_hashes, k: int, own: int) -> None:
+        """Take the bit ``own`` back from the first ``k`` (distinct) hashes,
+        then raise for the first hash listed twice, or else for the
+        covered hash ``tx_hashes[k]``."""
+        tx_mask = self._tx_mask
+        for txh in tx_hashes[:k]:
+            mask = tx_mask[txh] & ~own
+            if mask:
+                tx_mask[txh] = mask
+            else:
+                del tx_mask[txh]
+        seen: set[bytes] = set()
+        for txh in tx_hashes:
+            if txh in seen:
+                raise DuplicateCoverage(f"transaction {txh.hex()} listed twice")
+            seen.add(txh)
+        raise DuplicateCoverage(f"transaction {tx_hashes[k].hex()} already covered")
 
     def discard_stale_tips(self, current_round: int, max_age: int) -> int:
         """Always raises: no tip is ever flagged, every tip is eligible.
@@ -336,10 +357,13 @@ class Dag:
         # order of self.vertices is topological, so one pass suffices.
         self._ids = []
         self._mask = {}
-        self._tx_mask = {}
+        self._tx_mask = tx_mask = {}
         self.max_cover = 0
+        get = tx_mask.get
         for vertex in self.vertices.values():
-            self._index_vertex(vertex, self.cover_mask(vertex.parents))
+            own = self._index_vertex(vertex, self.cover_mask(vertex.parents))
+            for txh in vertex.tx_hashes:
+                tx_mask[txh] = get(txh, 0) | own
 
     def ordered_transactions(self, roots) -> list[bytes]:
         """Canonical transaction order over the cover set of ``roots``.

@@ -4,15 +4,17 @@ One simulation executes a fixed number of block rounds on a single
 logical timeline.  After the beacon advance and role draw, each round
 runs five phases: inject (mempool), attach (one vertex per attacher),
 propose (the top-ranked proposer's body, notarization, finality two
-rounds back), settle (fees, then pruning) and requeue (carry-over).
+rounds back), settle (fees, then pruning) and requeue (carry-over, then
+the retirement of dropped transactions that can no longer settle).
 Attach takes one ``Dag.pending`` snapshot of the mempool and cuts every
 attacher's payload from its runs of equally listed hashes; the runs
 stay exact because only vertices built from that snapshot attach until
 the phase ends.
 The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
-A transaction is its 32-byte hash: the run keeps each unsettled hash's
-fee, and the mempool maps each queued hash to its requeue count.
+A transaction is its 32-byte hash: the run keeps the fee of each hash
+that can still settle, and the mempool maps each queued hash to its
+requeue count.  The chain keeps a finalized block's header only.
 Everything derives from the configured seed and no wall clock or OS
 entropy enters, so identical configs give byte-identical reports.
 
@@ -233,9 +235,11 @@ class _Run:
         self.stakers = tuple(f"node-{i:05d}" for i in range(config.n_stakers))
         self.seed = ZERO_HASH
         self.prev_hash = ZERO_HASH
-        # queued ⊆ unsettled: a dropped tx keeps its fee until a copy of it settles
+        # queued ⊆ unsettled: a dropped tx keeps its fee while an active
+        # vertex lists it, since a sibling copy may still settle it
         self.fees: dict[bytes, int] = {}  # unsettled tx -> fee
         self.mempool: dict[bytes, int] = {}  # queued tx -> times requeued
+        self.retired = 0  # dropped txs that can no longer settle
         # publicly unreferenced vertices, active or already settled
         self.frontier = {self.dag.genesis_id}
         self.arrivals: dict[int, list[tuple[bytes, tuple[bytes, ...]]]] = {}
@@ -254,6 +258,7 @@ class _Run:
         body = block.proposal.body
         fees = self.settle(body)
         self.requeue(body)
+        self.retire()
         self.rows.append(
             RoundRecord(
                 round=r,
@@ -356,6 +361,15 @@ class _Run:
             else:
                 self.mempool[txh] = attempts  # stays queued for new vertices
 
+    def retire(self) -> None:
+        """Forget the fee of every dropped transaction that no active vertex
+        lists: attachers list only queued hashes, so it can never settle."""
+        dag, fees = self.dag, self.fees
+        for txh in fees.keys() - self.mempool.keys():
+            if not dag.is_listed(txh):
+                del fees[txh]
+                self.retired += 1
+
     def report(self) -> SimulationReport:
         ledger = distribute_rewards(self.history, self.config.reward_policy)
         sizes = [row.proposal_size for row in self.rows]
@@ -366,8 +380,8 @@ class _Run:
             "finalized_height": self.chain.finalized_height,
             "total_fees_collected": sum(row.fees for row in self.rows),
             "total_txs_injected": injected,
-            "total_txs_settled": injected - len(self.fees),
-            "total_txs_dropped": len(self.fees) - len(self.mempool),
+            "total_txs_settled": injected - len(self.fees) - self.retired,
+            "total_txs_dropped": len(self.fees) - len(self.mempool) + self.retired,
             "mempool_remaining": len(self.mempool),
             "active_vertices": self.dag.active_count,
             "balances": {node: bal for node, bal in sorted(ledger.balances.items()) if bal},

@@ -16,7 +16,8 @@ order split at the block cap by :func:`assemble_block`, and the Merkle
 root of the block's part.  A :class:`Proposal` is that body stamped with
 one ranked proposer's identity and rank, and the notarized block holds
 the winning proposal, so its content is read from
-``block.proposal.body`` alone.
+``block.proposal.body`` alone.  Once the block is final, the chain keeps
+only its :class:`BlockHeader`.
 """
 
 from __future__ import annotations
@@ -240,11 +241,36 @@ def make_proposal(
 
 
 @dataclass(frozen=True)
+class BlockHeader:
+    """What the chain keeps of a block once it is final: the linkage and
+    the commitment to its transactions, not the transactions."""
+
+    round: int
+    proposer_id: str
+    prev_block_hash: bytes
+    merkle_root: bytes
+    tx_count: int
+    block_hash: bytes
+
+
+@dataclass(frozen=True)
 class NotarizedBlock:
     round: int
     proposal: Proposal
     notarization_signers: tuple[str, ...]
     block_hash: bytes
+
+    @property
+    def header(self) -> BlockHeader:
+        proposal = self.proposal
+        return BlockHeader(
+            round=self.round,
+            proposer_id=proposal.proposer_id,
+            prev_block_hash=proposal.prev_block_hash,
+            merkle_root=proposal.body.merkle_root,
+            tx_count=len(proposal.body.tx_list),
+            block_hash=self.block_hash,
+        )
 
 
 def notarize_round(proposals, ctx: RoundContext, honest_signers=None) -> NotarizedBlock:
@@ -280,33 +306,40 @@ def notarize_round(proposals, ctx: RoundContext, honest_signers=None) -> Notariz
 
 @dataclass
 class ChainState:
-    """One notarized block per round plus the finalized frontier."""
+    """A header for every notarized round; the full block only until it is final.
 
+    ``blocks`` holds the notarized blocks above ``finalized_height``;
+    :func:`finalize` hands each block over as it becomes final, so a long
+    run keeps one small header per round and no finalized transactions.
+    """
+
+    headers: dict[int, BlockHeader] = field(default_factory=dict)
     blocks: dict[int, NotarizedBlock] = field(default_factory=dict)
     finalized_height: int = -1
 
     def add(self, block: NotarizedBlock) -> None:
-        if block.round in self.blocks:
+        if block.round in self.headers:
             raise ForkDetected(f"two notarized blocks in round {block.round}")
+        self.headers[block.round] = block.header
         self.blocks[block.round] = block
 
 
 def finalize(chain: ChainState, current_round: int) -> list[NotarizedBlock]:
     """Finalize every notarized ancestor at least two rounds deep.
 
-    Returns the newly finalized blocks, oldest first.  Idempotent; a
-    linkage break (a block whose previous-hash does not match its
-    predecessor) halts the simulation.
+    Returns the newly finalized blocks, oldest first, and drops them from
+    ``chain.blocks``; their headers stay.  Idempotent; a linkage break (a
+    header whose previous-hash does not match its predecessor's block
+    hash) halts the simulation.
     """
     newly: list[NotarizedBlock] = []
+    headers = chain.headers
     r = chain.finalized_height + 1
-    while r <= current_round - FINALITY_LAG and r in chain.blocks:
-        block = chain.blocks[r]
-        if r - 1 in chain.blocks:
-            prev = chain.blocks[r - 1]
-            if block.proposal.prev_block_hash != prev.block_hash:
-                raise ForkDetected(f"chain linkage broken at round {r}")
-        newly.append(block)
+    while r <= current_round - FINALITY_LAG and r in headers:
+        prev = headers.get(r - 1)
+        if prev is not None and headers[r].prev_block_hash != prev.block_hash:
+            raise ForkDetected(f"chain linkage broken at round {r}")
+        newly.append(chain.blocks.pop(r))
         chain.finalized_height = r
         r += 1
     return newly

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from minagree import harness
 from minagree.dag import Dag, make_vertex
 from minagree.errors import UnknownTransaction
 from minagree.incentives import check_hard_constraint, delta_score, proposer_reward
@@ -161,6 +162,21 @@ def set_cover_censorship_cost(dag: Dag, target_tx, n_vertices, round_fees, polic
 
     cost = reward(n_honest) - reward(n_censor)
     return cost, check_hard_constraint(n_censor, n_vertices, policy.hard_alpha)
+
+
+def recording_proposal_body(bodies: list):
+    """``harness.proposal_body`` that also appends each body it builds to
+    ``bodies``.  ``run_simulation`` builds one body per round, the
+    block's, so ``bodies[r]`` is round r's block body even after the
+    chain has dropped it at finality."""
+    build = harness.proposal_body
+
+    def recording(*args, **kwargs):
+        body = build(*args, **kwargs)
+        bodies.append(body)
+        return body
+
+    return recording
 
 
 def replay_ledger(bodies, injected: int, retry_limit) -> dict:

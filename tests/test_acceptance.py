@@ -21,8 +21,6 @@ from helpers import (
     h32,
     reference_merkle,
 )
-from minagree.attachment import AttachmentStrategy
-from minagree.dag import Dag, make_vertex
 from minagree.harness import (
     SimConfig,
     bandwidth_estimate,
@@ -154,7 +152,7 @@ def test_criterion_5_determinism_and_hash_stability():
     first = run_simulation(config)
     second = run_simulation(config)
     assert json.dumps(first.to_dict()).encode() == json.dumps(second.to_dict()).encode()
-    hashes = [first.chain.blocks[r].block_hash.hex() for r in range(12)]
+    hashes = [first.chain.headers[r].block_hash.hex() for r in range(12)]
     golden = (FIXTURES / "block_hashes.txt").read_text().split()
     assert hashes == golden  # platform-independent derivation from the seed
     print("PASS criterion 5: byte-identical reports and frozen block-hash sequence")
@@ -167,17 +165,15 @@ def test_criterion_6_finality_safety_and_liveness():
     )
     report = run_simulation(config)
     chain = report.chain
-    assert len(chain.blocks) == 1000
+    assert len(chain.headers) == 1000
     assert chain.finalized_height == 997  # exactly 998 finalized blocks
     prev = None
     for r in range(1000):
-        block = chain.blocks[r]
+        header = chain.headers[r]
         if prev is not None:
-            assert block.proposal.prev_block_hash == prev.block_hash
-        assert block.block_hash == compute_block_hash(
-            block.proposal.prev_block_hash, block.proposal.body.merkle_root, r
-        )
-        prev = block
+            assert header.prev_block_hash == prev.block_hash
+        assert header.block_hash == compute_block_hash(header.prev_block_hash, header.merkle_root, r)
+        prev = header
     print("PASS criterion 6: 1000 honest rounds, 998 finalized at lag 2, chain linked")
 
 

@@ -135,6 +135,31 @@ def _dag_with(vertex):
     return dag
 
 
+T1, T2, T5, T6 = (h32(f"t{k}") for k in (1, 2, 5, 6))
+LISTED = (T1, T2, T5, T6)
+
+
+def _attach_leaves_dag_unchanged(listed):
+    """Attach a vertex listing ``listed`` to alice (who lists T1) and to
+    the genesis, beside bob (who lists T2); the attach must fail and
+    leave ``listing_mask`` and ``pending`` answering as before."""
+    dag = Dag()
+    g = dag.genesis_id
+    alice = make_vertex((g, g), "alice", 1, (T1,))
+    dag.attach(alice)
+    dag.attach(make_vertex((g, g), "bob", 1, (T2,)))
+
+    def answers():
+        listed_masks = {t: dag.listing_mask(t) for t in LISTED if dag.is_listed(t)}
+        return listed_masks, dag.pending(LISTED)
+
+    before = answers()
+    try:
+        dag.attach(make_vertex((alice.vertex_id, g), "carol", 2, listed))
+    finally:
+        assert answers() == before
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -148,8 +173,29 @@ def _dag_with(vertex):
             NotImplementedError,
             "stale tips are no longer flagged; every tip is eligible",
         ),
+        # T2 (bob's) and T5 get carol's bit before the check reaches T1
+        (
+            lambda: _attach_leaves_dag_unchanged((T2, T5, T1)),
+            DuplicateCoverage,
+            f"transaction {T1.hex()} already covered",
+        ),
+        (
+            lambda: _attach_leaves_dag_unchanged((T2, T5, T2)),
+            DuplicateCoverage,
+            f"transaction {T2.hex()} listed twice",
+        ),
+        # a repeat outranks a covered hash listed before it, and the first
+        # repeat is named, not the first hash that repeats
+        (
+            lambda: _attach_leaves_dag_unchanged((T1, T5, T6, T6, T5)),
+            DuplicateCoverage,
+            f"transaction {T6.hex()} listed twice",
+        ),
     ],
-    ids=["parent_count", "negative_round", "short_parent", "reattach", "zero_parents", "discard_stale_tips"],
+    ids=[
+        "parent_count", "negative_round", "short_parent", "reattach", "zero_parents", "discard_stale_tips",
+        "covered", "listed_twice", "covered_and_listed_twice",
+    ],
 )
 def test_dag_validation_errors(call, error, message):
     raises_exactly(call, error, message)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import raises_exactly, replay_ledger
+from helpers import raises_exactly, recording_proposal_body, replay_ledger
+from minagree import harness
 from minagree.attachment import STRATEGY_NAMES, AttachmentStrategy
 from minagree.dag import Dag
 from minagree.errors import ConfigInvalid
@@ -21,6 +23,7 @@ from minagree.harness import (
     DelayModel,
     SimConfig,
     _geometric_fee,
+    _Run,
     bandwidth_estimate,
     censorship_experiment,
     run_simulation,
@@ -53,7 +56,7 @@ def test_trivial_single_actor_run():
     )
     report = run_simulation(config)
     assert len(report.rows) == 5
-    assert len(report.chain.blocks) == 5
+    assert len(report.chain.headers) == 5
     assert report.aggregates["finalized_height"] == 2  # lag two: 3 blocks final
 
 
@@ -72,9 +75,9 @@ def test_different_seeds_differ():
 
 def test_zero_mempool_rate_still_advances_chain():
     report = run_simulation(small_config(mempool_rate=0, n_blocks=8))
-    assert len(report.chain.blocks) == 8
+    assert len(report.chain.headers) == 8
     assert all(row.fees == 0 for row in report.rows)
-    assert all(block.proposal.body.tx_list == () for block in report.chain.blocks.values())
+    assert all(header.tx_count == 0 for header in report.chain.headers.values())
     assert report.aggregates["finalized_height"] == 5
 
 
@@ -98,23 +101,73 @@ def test_finality_audit_lag_exactly_two():
     assert chain.finalized_height == 37
     prev = None
     for r in range(40):
-        block = chain.blocks[r]
+        header = chain.headers[r]
         if prev is not None:
-            assert block.proposal.prev_block_hash == prev.block_hash
-        assert block.block_hash == compute_block_hash(
-            block.proposal.prev_block_hash, block.proposal.body.merkle_root, r
-        )
-        prev = block
+            assert header.prev_block_hash == prev.block_hash
+        assert header.block_hash == compute_block_hash(header.prev_block_hash, header.merkle_root, r)
+        prev = header
 
 
-def test_block_cap_carries_and_requeues():
+def test_chain_keeps_every_header_and_only_unfinalized_bodies(monkeypatch):
+    bodies = []
+    monkeypatch.setattr(harness, "proposal_body", recording_proposal_body(bodies))
+    config = small_config(n_blocks=30, mempool_rate=6, max_block_txs=3, carryover_retry_limit=1)
+    chain = run_simulation(config).chain
+    assert sorted(chain.headers) == list(range(config.n_blocks))
+    assert sorted(chain.blocks) == list(range(chain.finalized_height + 1, config.n_blocks)) == [28, 29]
+    assert len(bodies) == config.n_blocks
+    for r, body in enumerate(bodies):
+        header = chain.headers[r]
+        assert header.round == r
+        assert header.tx_count == len(body.tx_list)
+        assert header.merkle_root == merkle_root(body.tx_list)
+    assert any(header.tx_count for header in chain.headers.values())
+    for r, block in chain.blocks.items():
+        assert block.header == chain.headers[r]
+        assert block.proposal.body is bodies[r]
+
+
+@pytest.mark.parametrize("delay", ["none", "fixed:2"])
+def test_every_unsettled_fee_is_queued_or_listed(delay):
+    # a dropped transaction can settle only through a copy that an active
+    # vertex lists; once none does, its fee is retired
+    config = SimConfig(
+        seed=7, mempool_rate=50, max_block_txs=40, carryover_retry_limit=1, n_blocks=60,
+        delay_model=DelayModel.parse(delay),
+    )
+    run = _Run(config)
+    for r in range(config.n_blocks):
+        run.round(r)
+        assert all(txh in run.mempool or run.dag.is_listed(txh) for txh in run.fees)
+    assert run.retired > 0
+
+
+def _traced_peak(n_blocks: int) -> int:
+    config = SimConfig(seed=7, mempool_rate=50, max_block_txs=40, carryover_retry_limit=1, n_blocks=n_blocks)
+    tracemalloc.start()
+    try:
+        run_simulation(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_run_peak_memory_grows_little():
+    # traced allocations do not depend on host load; what still grows with
+    # the run is the DAG's boundary markers, the frontier, the reward
+    # history, the rows and the block headers
+    assert _traced_peak(400) - _traced_peak(100) <= 1_000_000
+
+
+def test_block_cap_carries_and_requeues(monkeypatch):
+    bodies = []
+    monkeypatch.setattr(harness, "proposal_body", recording_proposal_body(bodies))
     report = run_simulation(
         small_config(n_blocks=25, mempool_rate=6, max_block_txs=3)
     )
     assert any(row.carried_over > 0 for row in report.rows)
-    for row in report.rows:
-        block = report.chain.blocks[row.round]
-        assert len(block.proposal.body.tx_list) <= 3 and len(block.proposal.body.carried_over) == row.carried_over
+    for row, body in zip(report.rows, bodies, strict=True):
+        assert len(body.tx_list) <= 3 and len(body.carried_over) == row.carried_over
     agg = report.aggregates
     assert agg["total_txs_dropped"] == 0  # unlimited retries by default
     assert agg["total_txs_injected"] == (
@@ -214,29 +267,29 @@ def small_configs(draw):
 @example(SimConfig(seed=7, max_block_txs=2, carryover_retry_limit=0, n_blocks=20))
 def test_run_simulation_invariants(config):
     # patched in the body: a function-scoped monkeypatch would span examples
-    prune = Dag.prune_finalized
-    rounds_seen = []
+    prune, build = Dag.prune_finalized, harness.proposal_body
+    rounds_seen, bodies = [], []
     Dag.prune_finalized = _checked_prune(rounds_seen)
+    harness.proposal_body = recording_proposal_body(bodies)
     try:
         report = run_simulation(config)
     finally:
-        Dag.prune_finalized = prune
+        Dag.prune_finalized, harness.proposal_body = prune, build
 
     agg = report.aggregates
-    blocks = [report.chain.blocks[r] for r in range(config.n_blocks)]
+    headers = [report.chain.headers[r] for r in range(config.n_blocks)]
     assert rounds_seen == list(range(config.n_blocks))
+    assert len(bodies) == config.n_blocks
     assert agg["total_txs_injected"] == config.mempool_rate * config.n_blocks
     # replayed from the block bodies: a transaction listed by several blocks settles once
-    replayed = replay_ledger(
-        (block.proposal.body for block in blocks), agg["total_txs_injected"], config.carryover_retry_limit
-    )
+    replayed = replay_ledger(bodies, agg["total_txs_injected"], config.carryover_retry_limit)
     assert {key: agg[key] for key in replayed} == replayed
     if config.max_block_txs is not None:
-        assert all(len(block.proposal.body.tx_list) <= config.max_block_txs for block in blocks)
-    for block in blocks:
-        body = block.proposal.body
-        assert merkle_root(body.tx_list) == body.merkle_root
-        assert block.block_hash == compute_block_hash(block.proposal.prev_block_hash, body.merkle_root, block.round)
+        assert all(len(body.tx_list) <= config.max_block_txs for body in bodies)
+    for header, body in zip(headers, bodies):
+        assert merkle_root(body.tx_list) == body.merkle_root == header.merkle_root
+        assert header.tx_count == len(body.tx_list)
+        assert header.block_hash == compute_block_hash(header.prev_block_hash, header.merkle_root, header.round)
     paid = sum(agg["balances"].values()) + Fraction(agg["reward_residual"])
     base = config.reward_policy.base_block_reward
     assert paid == agg["total_fees_collected"] + base * config.n_blocks
@@ -247,10 +300,6 @@ def test_delay_model_parsing():
     assert DelayModel.parse("none") == DelayModel()
     assert DelayModel.parse("fixed:2") == DelayModel("fixed", 2)
     assert DelayModel.parse("uniform:3") == DelayModel("uniform", 3)
-    with pytest.raises(ConfigInvalid):
-        DelayModel.parse("sometimes")
-    with pytest.raises(ConfigInvalid):
-        DelayModel.parse("fixed:0")
 
 
 def test_delay_models_run_and_change_outcomes():
@@ -267,20 +316,7 @@ def test_strict_synchrony_via_fixed_delay():
     report = run_simulation(
         small_config(n_blocks=10, n_attachers=3, delay_model=DelayModel("fixed", 1))
     )
-    assert len(report.chain.blocks) == 10
-
-
-def test_config_validation():
-    with pytest.raises(ConfigInvalid):
-        small_config(n_attachers=10)  # exceeds stakers
-    with pytest.raises(ConfigInvalid):
-        small_config(n_blocks=0)
-    with pytest.raises(ConfigInvalid):
-        small_config(mempool_rate=-1)
-    with pytest.raises(ConfigInvalid):
-        small_config(visibility_horizon=-0.5)
-    with pytest.raises(ConfigInvalid, match="n_stakers must be >= 1"):
-        dataclasses.replace(SimConfig(), n_stakers=0)
+    assert len(report.chain.headers) == 10
 
 
 @pytest.mark.parametrize(
@@ -289,13 +325,27 @@ def test_config_validation():
         (lambda: DelayModel("sometimes"), "unknown delay model 'sometimes'"),
         (lambda: DelayModel("none", 2), "delay model 'none' takes no round count"),
         (
+            lambda: DelayModel.parse("sometimes"),
+            "expected 'none', 'fixed:<rounds>' or 'uniform:<rounds>', got 'sometimes'",
+        ),
+        (lambda: DelayModel.parse("fixed:0"), "delay model 'fixed' needs rounds >= 1"),
+        (lambda: small_config(n_attachers=10), "n_attachers cannot exceed n_stakers"),
+        (lambda: small_config(n_blocks=0), "n_blocks must be >= 1, got 0"),
+        (lambda: small_config(mempool_rate=-1), "mempool_rate must be >= 0"),
+        (lambda: small_config(visibility_horizon=-0.5), "visibility_horizon must be >= 0"),
+        (lambda: dataclasses.replace(SimConfig(), n_stakers=0), "n_stakers must be >= 1, got 0"),
+        (
             lambda: SimConfig(n_stakers=4, n_attachers=4, committee_size=5),
             "committee_size cannot exceed n_stakers",
         ),
         (lambda: SimConfig(max_block_txs=-1), "max_block_txs must be >= 0 when set"),
         (lambda: SimConfig(carryover_retry_limit=-1), "carryover_retry_limit must be >= 0 when set"),
     ],
-    ids=["unknown_delay_kind", "none_with_rounds", "committee_size", "max_block_txs", "carryover_retry_limit"],
+    ids=[
+        "unknown_delay_kind", "none_with_rounds", "parse_unknown_form", "parse_fixed_zero",
+        "n_attachers", "n_blocks", "mempool_rate", "negative_horizon", "n_stakers",
+        "committee_size", "max_block_txs", "carryover_retry_limit",
+    ],
 )
 def test_harness_validation_errors(call, message):
     raises_exactly(call, ConfigInvalid, message)

@@ -249,15 +249,6 @@ def test_collusion_profit_monotone_in_share_and_nonnegative():
             assert collusion_profit(f, eps, Fraction(1, 3)) >= 0
 
 
-def test_collusion_profit_validation():
-    with pytest.raises(InvalidFraction):
-        collusion_profit(10, 11, Fraction(1, 2))
-    with pytest.raises(InvalidFraction):
-        collusion_profit(10, 1, 2)
-    with pytest.raises(InvalidFraction):
-        collusion_profit(10, 0.5, Fraction(1, 2))  # floats are rejected
-
-
 # --- censorship pricing ---
 
 def _comb(levels, fee=10):
@@ -429,15 +420,6 @@ def test_censorship_cost_rejects_vertex_counts_below_coverage(target):
     censorship_cost(dag, txs[target], n_honest, 10, RewardPolicy())
 
 
-def test_reward_policy_validation():
-    with pytest.raises(InvalidFraction):
-        RewardPolicy(non_producer_share=Fraction(3, 2))
-    with pytest.raises(InvalidFraction):
-        RewardPolicy(decouple_window=0)
-    with pytest.raises(InvalidFraction):
-        RewardPolicy(hard_alpha=Fraction(-1, 2))
-
-
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -452,6 +434,20 @@ def test_reward_policy_validation():
             "delta out of range in round 4",
         ),
         (lambda: kth_price_clearing([(h32("t"), 5)], 0), ValueError, "capacity must be >= 1"),
+        (
+            lambda: RewardPolicy(non_producer_share=Fraction(3, 2)),
+            InvalidFraction,
+            "non_producer_share must be in [0, 1]",
+        ),
+        (lambda: RewardPolicy(decouple_window=0), InvalidFraction, "decouple_window must be >= 1"),
+        (lambda: RewardPolicy(hard_alpha=Fraction(-1, 2)), InvalidFraction, "hard_alpha must be in [0, 1]"),
+        (lambda: collusion_profit(10, 11, Fraction(1, 2)), InvalidFraction, "epsilon must be in [0, fee_f]"),
+        (lambda: collusion_profit(10, 1, 2), InvalidFraction, "x must be in [0, 1]"),
+        (
+            lambda: collusion_profit(10, 0.5, Fraction(1, 2)),
+            InvalidFraction,
+            "0.5 is a float; pass int or Fraction for exact accounting",
+        ),
     ],
     ids=[
         "negative_base_reward",
@@ -461,6 +457,12 @@ def test_reward_policy_validation():
         "proposer_delta",
         "row_delta",
         "capacity",
+        "non_producer_share",
+        "decouple_window",
+        "hard_alpha",
+        "collusion_epsilon",
+        "collusion_x",
+        "collusion_float",
     ],
 )
 def test_incentives_validation_errors(call, error, message):

@@ -46,6 +46,14 @@ SIMULATE_REWARDS_CORPUS = [
                                                ("none", "3"), ("none", "1"))
 ]
 
+# long retry-limited runs: dropped transactions give up their fees hundreds
+# of rounds into a run, with and without cross-round delay
+SIMULATE_LONG_CORPUS = [
+    ["simulate", "--format", "json", "--set", "n_blocks=300", "--set", "mempool_rate=50",
+     "--set", "max_block_txs=40", "--set", "carryover_retry_limit=1", "--set", f"delay_model={delay}"]
+    for delay in ("none", "fixed:2")
+]
+
 # one CSV invocation per command, and the bandwidth -o file in both formats
 CSV_CORPUS = [
     ["simulate", "--set", "n_blocks=6", "--set", "seed=11", "--set", "strategy=greedy"],
@@ -61,6 +69,7 @@ PINS = {
     "table1_wide": (TABLE1_WIDE_CORPUS, "fbeca084e183ad5e9a7775442cba658ed9745c22a4a3d20fd6384b6369321db6"),
     "censorship": (CENSORSHIP_CORPUS, "0818e3b1615c6a43ffbf05fba5ac0822d799d1a2a2adfcb4f8c0f15ca5afb863"),
     "simulate_rewards": (SIMULATE_REWARDS_CORPUS, "fc2912a571e1f4a80084b5c010454db95e56b377652a7391e6ddbd13fc3f99f4"),
+    "simulate_long": (SIMULATE_LONG_CORPUS, "757e7654697045f98adba0971fc68d21044a8eca26ca0ff64fa7d772783bfc75"),
     "csv": (CSV_CORPUS, "4d53f507a089b5281e852d16fddf6995c30a9af4786f088b3b5bb97c5337c924"),
 }
 

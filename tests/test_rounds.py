@@ -1,5 +1,6 @@
 """Beacon, roles, Merkle commitments, proposals, notarization, finality."""
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -201,7 +202,7 @@ def test_greedy_cover_matches_reference_tie_order():
 
 # --- proposals ---
 
-def _simple_ctx(dag=None, stakers=4, round_no=1):
+def _simple_ctx(stakers=4, round_no=1):
     names = [f"n{i}" for i in range(stakers)]
     return draw_roles(next_seed(ZERO_HASH, round_no), names, stakers, stakers, round_no=round_no)
 
@@ -429,9 +430,13 @@ def _chain_with_blocks(n):
 
 def test_finalize_lag_two():
     chain = _chain_with_blocks(3)
+    block0 = chain.blocks[0]
     newly = finalize(chain, current_round=2)
-    assert [b.round for b in newly] == [0]
+    assert newly == [block0]  # handed over with its body
     assert chain.finalized_height == 0
+    assert sorted(chain.blocks) == [1, 2]
+    assert sorted(chain.headers) == [0, 1, 2]
+    assert chain.headers[0] == block0.header
     assert finalize(chain, 2) == []  # idempotent
 
 
@@ -451,6 +456,9 @@ def test_fork_detection_on_duplicate_round():
     )
     with pytest.raises(ForkDetected):
         chain.add(dup)
+    finalize(chain, current_round=3)
+    with pytest.raises(ForkDetected):  # a final round keeps its header
+        chain.add(dataclasses.replace(dup, round=0))
 
 
 def test_fork_detection_on_broken_linkage():
