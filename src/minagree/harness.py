@@ -9,7 +9,8 @@ the retirement of dropped transactions that can no longer settle).
 Attach takes one ``Dag.pending`` snapshot of the mempool and cuts every
 attacher's payload from its runs of equally listed hashes; the runs
 stay exact because only vertices built from that snapshot attach until
-the phase ends.
+the phase ends.  Likewise it keeps one ``RoundPool`` of candidate tips,
+and each attacher selects from a ``PoolView`` of it.
 The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
 A transaction is its 32-byte hash: the run keeps the fee of each hash
@@ -36,7 +37,7 @@ import statistics
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
-from .attachment import AttachmentStrategy, build_vertex, select_parents
+from .attachment import AttachmentStrategy, PoolView, RoundPool, build_vertex, select_parents
 from .dag import (
     COMPACT_TX_BYTES,
     HASH_BYTES,
@@ -300,6 +301,7 @@ class _Run:
         base_pool = sorted(v for v in dag.vertices if v in self.frontier)
         if not base_pool:
             base_pool = sorted(self.frontier)  # settled frontier keeps the chain alive
+        pool = RoundPool(dag, base_pool)
         pending = dag.pending(self.mempool)
         order = list(ctx.attachers)
         rng.shuffle(order)
@@ -314,14 +316,13 @@ class _Run:
                     adds.append(vid)
                     removed.add(parents[0])
                     removed.add(parents[-1])
-            pool = [t for t in base_pool if t not in removed]
-            pool += [v for v in adds if v not in removed]
-            parents = select_parents(dag, strategy, rng, tips=pool)
+            parents = select_parents(dag, strategy, rng, tips=PoolView(pool, removed, adds))
             vertex = build_vertex(dag, attacher, pending, parents, r)
             dag.attach(vertex)
             delay = delay_model.draw(rng)
             if delay == 0:
                 published.append((i, vertex.vertex_id, vertex.parents))
+                pool.publish(vertex.vertex_id)
             arrivals.setdefault(r + max(delay, 1), []).append((vertex.vertex_id, vertex.parents))
 
     def propose(self, ctx: RoundContext, targets: list[bytes]) -> NotarizedBlock:

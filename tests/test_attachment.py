@@ -4,9 +4,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import bfs_cover, brute_force_best_pair, grow_random_dag, h32
-from minagree.attachment import AttachmentStrategy, _random_pair, build_vertex, select_parents
+from minagree.attachment import AttachmentStrategy, PoolView, RoundPool, _random_pair, build_vertex, select_parents
 from minagree.dag import Dag, make_vertex
 from minagree.errors import EmptyDag, UnknownParent, UnknownVertex
 
@@ -246,6 +248,65 @@ def test_metropolis_matches_a_loop_checking_every_draw(dag, skipped):
         assert fast.getstate() == slow.getstate()
         accepted += passed
     assert (accepted == 0) == skipped
+
+
+@st.composite
+def round_views(draw):
+    """One attach phase: a random DAG, pruned at times so that markers
+    exist, a base pool, vertices published on top of it, and one
+    attacher's view, which sees some of them.  Returns the dag, the view
+    and the plain pool the view stands for: the base, then the seen
+    vertices in publish order, both without the parents of the seen
+    vertices."""
+    rng = draw(st.randoms(use_true_random=False))
+    dag, ids = grow_random_dag(rng, draw(st.integers(1, 30)))
+    if len(ids) > 2 and draw(st.booleans()):
+        dag.prune_finalized(rng.sample(ids[1:], draw(st.integers(1, 2))))
+    members = sorted(dag.vertices) + sorted(dag.boundary)
+    base = sorted(rng.sample(members, draw(st.integers(1, min(len(members), 20)))))
+    pool = RoundPool(dag, base)
+    n_published = draw(st.integers(0, 12))
+    # publishes before the first ranked read; the rest insert into the ranking
+    ranked_after = draw(st.integers(0, n_published))
+    published = []
+    for k in range(n_published):
+        if k == ranked_after:
+            pool.ranking()
+        parents = (rng.choice(base + published), rng.choice(base + published))
+        vertex = make_vertex(parents, f"slot-{k}", len(ids) + 1, ())
+        dag.attach(vertex)
+        pool.publish(vertex.vertex_id)
+        published.append(vertex.vertex_id)
+    seen_share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    adds = [vid for vid in published if rng.random() < seen_share]
+    removed = {parent for vid in adds for parent in dag.vertices[vid].parents}
+    plain = [t for t in base if t not in removed] + [v for v in adds if v not in removed]
+    return dag, PoolView(pool, removed, adds), plain
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(round_views(), st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 0.25, 0.5, 1.0]))
+def test_round_view_selects_as_its_plain_pool(case, seed, threshold):
+    dag, view, plain = case
+    assert len(view) == len(plain) >= 1
+
+    metropolis = AttachmentStrategy("metropolis", metropolis_threshold=threshold, metropolis_max_iters=4)
+    strategies = [AttachmentStrategy(kind) for kind in ("greedy", "joint_cardinality", "random")] + [metropolis]
+    greedy, joint, uniform, _ = strategies
+    if len(plain) == 1:
+        for strategy in strategies:
+            assert select_parents(dag, strategy, random.Random(0), tips=view) == (plain[0], plain[0])
+        return
+    ranked = sorted(plain, key=lambda t: (-len(bfs_cover(dag, (t,))), t))
+    assert select_parents(dag, greedy, random.Random(0), tips=view) == (ranked[0], ranked[1])
+    assert select_parents(dag, joint, random.Random(0), tips=view) == brute_force_best_pair(dag, plain)
+
+    fast, slow = random.Random(seed), random.Random(seed)
+    assert select_parents(dag, uniform, fast, tips=view) == randrange_pair(plain, slow)
+    assert fast.getstate() == slow.getstate()
+    expected, _ = metropolis_checking_every_draw(dag, metropolis, slow, plain)
+    assert select_parents(dag, metropolis, fast, tips=view) == expected
+    assert fast.getstate() == slow.getstate()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

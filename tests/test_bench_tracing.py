@@ -43,7 +43,7 @@ def test_tracer_counts_a_tiny_run_of_each_experiment_and_uninstalls():
     undo = tracer.install()
     try:
         report = run_simulation(config)
-        cells = table1_experiment(["greedy"], [6], n_blocks=3)
+        cells = table1_experiment(["greedy", "joint_cardinality"], [6], n_blocks=3)
         rows = censorship_experiment(SimConfig(), [0, 1, 2])
     finally:
         tracer.uninstall(undo)
@@ -54,7 +54,8 @@ def test_tracer_counts_a_tiny_run_of_each_experiment_and_uninstalls():
     metrics = tracer.metrics()
     assert set(metrics) == set(tracing.LAYER_UNITS)
 
-    attaches = config.n_blocks * config.n_attachers + 3 * 6
+    # two Table-1 cells of 3 rounds with 6 attachers each
+    attaches = config.n_blocks * config.n_attachers + 2 * 3 * 6
     assert metrics["attachment.select_parents.calls"] == attaches
     assert metrics["attachment.select_parents.pool_mean"] > 0
     assert 0 < metrics["attachment.build_vertex.listed_ratio"] <= 1
@@ -64,7 +65,7 @@ def test_tracer_counts_a_tiny_run_of_each_experiment_and_uninstalls():
     assert metrics["rounds.assemble_block.carried"] == sum(row.carried_over for row in report.rows)
     assert metrics["rounds.assemble_block.carried"] > 0
     assert metrics["rounds.merkle_root.leaves"] == sum(h.tx_count for h in report.chain.headers.values())
-    picks = sum(row.proposal_size for row in report.rows) + cells[0].mean_proposal_size * 3
+    picks = sum(row.proposal_size for row in report.rows) + sum(cell.mean_proposal_size * 3 for cell in cells)
     assert metrics["rounds.greedy_min_cover.picks"] == picks
     assert metrics["rounds.greedy_min_cover.candidates_mean"] > 0
     assert metrics["incentives.censorship_cost.calls"] == len(rows) == 3
