@@ -114,11 +114,36 @@ def genesis_vertex() -> Vertex:
     )
 
 
+class _Listing:
+    """Transactions that the same active vertices list: ``mask`` holds
+    those vertices' own bits and ``hashes`` the members in listed order."""
+
+    __slots__ = ("mask", "hashes")
+
+    def __init__(self, mask: int, hashes: tuple[bytes, ...]) -> None:
+        self.mask = mask
+        self.hashes = hashes
+
+
+# what the listing index gives a hash that no active vertex lists
+_UNLISTED = _Listing(0, ())
+
+
+def _remap(mask: int, new_bits: list[int]) -> int:
+    """``mask`` with each bit at position k replaced by ``new_bits[k]``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= new_bits[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class Pending:
     """A mempool snapshot: ``hashes`` in arrival order, and ``runs``, the
-    maximal ``(start, end)`` slices of it whose entries the same active
-    vertices listed when :meth:`Dag.pending` built it.
+    maximal ``(start, end)`` slices of it whose entries had equal listing
+    masks (the same active listers) when :meth:`Dag.pending` built it.
 
     A vertex built from the snapshot lists whole runs, so attaching it
     adds its bit to every entry of a run or to none and each run stays
@@ -142,6 +167,11 @@ class Dag:
     orderings see active vertices only.
 
     ``max_cover`` is the largest cover size among the active vertices.
+
+    The listing index maps each listed hash to its :class:`_Listing`,
+    shared by every hash the same active vertices list.  Attachers of a
+    round list the same runs of one snapshot, so a vertex's list is
+    mostly whole listings, and indexing it costs one step per listing.
     """
 
     def __init__(self) -> None:
@@ -150,7 +180,7 @@ class Dag:
         self.tip_set: set[bytes] = set()
         self._ids: list[bytes] = []
         self._mask: dict[bytes, int] = {}
-        self._tx_mask: dict[bytes, int] = {}
+        self._listing: dict[bytes, _Listing] = {}
         self.max_cover = 0
         genesis = genesis_vertex()
         self.genesis_id = genesis.vertex_id
@@ -160,7 +190,7 @@ class Dag:
 
     def _index_vertex(self, vertex: Vertex, parents_mask: int) -> int:
         """Give the vertex the next dense bit and its cover mask; returns
-        the bit.  The caller adds the bit to its listed hashes' masks."""
+        the bit.  The caller adds the bit to the masks of its listings."""
         vid = vertex.vertex_id
         own = 1 << len(self._ids)
         self._ids.append(vid)
@@ -224,23 +254,24 @@ class Dag:
         return [masks[t] if t in masks else self.cover_mask((t,)) for t in tips]
 
     def listing_mask(self, tx_hash: bytes) -> int:
-        """The own bits of the active vertices listing the transaction;
-        raises :class:`UnknownTransaction` when none lists it."""
-        mask = self._tx_mask.get(tx_hash, 0)
+        """The own bits of the active vertices listing the transaction, the
+        mask of its listing; raises :class:`UnknownTransaction` when none
+        lists it."""
+        mask = self._listing.get(tx_hash, _UNLISTED).mask
         if not mask:
             raise UnknownTransaction(f"transaction {tx_hash.hex()} not in any active vertex")
         return mask
 
     def is_listed(self, tx_hash: bytes) -> bool:
         """Whether any active vertex lists the transaction."""
-        return tx_hash in self._tx_mask
+        return tx_hash in self._listing
 
     def pending(self, tx_hashes) -> Pending:
         """Snapshot ``tx_hashes`` as a :class:`Pending`, split into the
         maximal runs whose entries the same active vertices list."""
         hashes = tuple(tx_hashes)
-        get = self._tx_mask.get
-        masks = [get(txh, 0) for txh in hashes]
+        get = self._listing.get
+        masks = [get(txh, _UNLISTED).mask for txh in hashes]
         starts = [k for k in range(len(masks)) if k == 0 or masks[k] != masks[k - 1]]
         return Pending(hashes, tuple(zip(starts, starts[1:] + [len(hashes)])))
 
@@ -248,15 +279,16 @@ class Dag:
         """The hashes of ``pending`` that no vertex in the bitmask region
         lists, in arrival order.
 
-        Reads one mask per run, so every run must still be uniform: each
-        vertex attached since :meth:`pending` built it lists every hash
-        of a run or none, as a vertex built from the same snapshot does.
+        Reads the listing mask of each run's first hash, so every run
+        must still be uniform: each vertex attached since :meth:`pending`
+        built it lists every hash of a run or none, as a vertex built
+        from the same snapshot does.
         """
-        get = self._tx_mask.get
+        get = self._listing.get
         hashes = pending.hashes
         out: list[bytes] = []
         for start, end in pending.runs:
-            if not get(hashes[start], 0) & cover_mask:
+            if not get(hashes[start], _UNLISTED).mask & cover_mask:
                 out += hashes[start:end]
         return tuple(out)
 
@@ -297,38 +329,83 @@ class Dag:
                 raise CycleViolation(
                     f"vertex round {vertex.round} precedes parent round {parent_round}"
                 )
-        # one pass checks and indexes each listed hash: a parent's bit
-        # means already covered, the vertex's own bit a repeat
         tx_hashes = vertex.tx_hashes
-        tx_mask = self._tx_mask
-        get = tx_mask.get
         own = 1 << len(self._ids)
-        taken = parents_mask | own
-        for k, txh in enumerate(tx_hashes):
-            mask = get(txh, 0)
-            if mask & taken:
-                self._reject(tx_hashes, k, own)
-            tx_mask[txh] = mask | own
+        listings = self._whole_listings(tx_hashes) if tx_hashes else ()
+        if listings is None:
+            self._index_split(tx_hashes, parents_mask, own)
+        else:
+            for listing in listings:
+                if listing.mask & parents_mask:
+                    raise DuplicateCoverage(f"transaction {listing.hashes[0].hex()} already covered")
+            for listing in listings:
+                listing.mask |= own
         self._store(vertex, parents_mask)
         return vid
 
-    def _reject(self, tx_hashes, k: int, own: int) -> None:
-        """Take the bit ``own`` back from the first ``k`` (distinct) hashes,
-        then raise for the first hash listed twice, or else for the
-        covered hash ``tx_hashes[k]``."""
-        tx_mask = self._tx_mask
-        for txh in tx_hashes[:k]:
-            mask = tx_mask[txh] & ~own
-            if mask:
-                tx_mask[txh] = mask
+    def _whole_listings(self, tx_hashes) -> list[_Listing] | None:
+        """The distinct listings that ``tx_hashes`` joins end to end, each
+        whole and in its listed order, or None if it is not such a join."""
+        get = self._listing.get
+        out: list[_Listing] = []
+        start, n = 0, len(tx_hashes)
+        while start < n:
+            listing = get(tx_hashes[start])
+            if listing is None:
+                return None
+            end = start + len(listing.hashes)
+            if tx_hashes[start:end] != listing.hashes:
+                return None
+            out.append(listing)
+            start = end
+        if len(out) > 1 and len(set(out)) < len(out):
+            return None  # a listing twice is a repeat, which the split path names
+        return out
+
+    def _index_split(self, tx_hashes, parents_mask: int, own: int) -> None:
+        """Check every hash, then give the list the bit ``own``.
+
+        The first hash listed twice outranks the first one a parent
+        covers.  A list of unlisted hashes becomes one listing; otherwise
+        each run of the list drawn from one listing becomes a listing of
+        its own, and a listing that loses some of its hashes keeps the
+        rest.
+        """
+        if len(set(tx_hashes)) < len(tx_hashes):
+            seen: set[bytes] = set()
+            for txh in tx_hashes:
+                if txh in seen:
+                    raise DuplicateCoverage(f"transaction {txh.hex()} listed twice")
+                seen.add(txh)
+        index = self._listing
+        if index.keys().isdisjoint(tx_hashes):
+            listing = _Listing(own, tx_hashes)
+            for txh in tx_hashes:
+                index[txh] = listing
+            return
+        get = index.get
+        listings = [get(txh, _UNLISTED) for txh in tx_hashes]
+        for txh, listing in zip(tx_hashes, listings):
+            if listing.mask & parents_mask:
+                raise DuplicateCoverage(f"transaction {txh.hex()} already covered")
+        split: dict[_Listing, None] = {}
+        start, n = 0, len(tx_hashes)
+        for end in range(1, n + 1):
+            listing = listings[start]
+            if end < n and listings[end] is listing:
+                continue
+            run = tx_hashes[start:end]
+            if run == listing.hashes:
+                listing.mask |= own
             else:
-                del tx_mask[txh]
-        seen: set[bytes] = set()
-        for txh in tx_hashes:
-            if txh in seen:
-                raise DuplicateCoverage(f"transaction {txh.hex()} listed twice")
-            seen.add(txh)
-        raise DuplicateCoverage(f"transaction {tx_hashes[k].hex()} already covered")
+                new = _Listing(listing.mask | own, run)
+                for txh in run:
+                    index[txh] = new
+                if listing is not _UNLISTED:
+                    split[listing] = None
+            start = end
+        for listing in split:
+            listing.hashes = tuple(txh for txh in listing.hashes if index[txh] is listing)
 
     def discard_stale_tips(self, current_round: int, max_age: int) -> int:
         """Always raises: no tip is ever flagged, every tip is eligible.
@@ -343,8 +420,8 @@ class Dag:
 
         A cover holds every active parent of its members, so no survivor
         loses an active parent.  The reachability cache is rebuilt over
-        the survivors; edges into the pruned region count as zero from
-        here on.
+        the survivors, and each listing's mask moves onto their new bits;
+        edges into the pruned region count as zero from here on.
         """
         cover = self.cover_set(roots)
         if not cover:
@@ -355,15 +432,27 @@ class Dag:
             self.tip_set.discard(vid)
         # Rebuild the dense bit indices over the survivors.  Insertion
         # order of self.vertices is topological, so one pass suffices.
+        old_masks = self._mask
+        new_bits = [0] * len(self._ids)
         self._ids = []
         self._mask = {}
-        self._tx_mask = tx_mask = {}
         self.max_cover = 0
-        get = tx_mask.get
-        for vertex in self.vertices.values():
+        for vid, vertex in self.vertices.items():
             own = self._index_vertex(vertex, self.cover_mask(vertex.parents))
-            for txh in vertex.tx_hashes:
-                tx_mask[txh] = get(txh, 0) | own
+            new_bits[old_masks[vid].bit_length() - 1] = own
+        # then move each listing's mask onto the new bits, once per
+        # distinct mask, and keep the listings a survivor still lists
+        remapped: dict[int, int] = {}
+        listings = dict.fromkeys(self._listing.values())
+        self._listing = index = {}
+        for listing in listings:
+            mask = remapped.get(listing.mask)
+            if mask is None:
+                mask = remapped[listing.mask] = _remap(listing.mask, new_bits)
+            if mask:
+                listing.mask = mask
+                for txh in listing.hashes:
+                    index[txh] = listing
 
     def ordered_transactions(self, roots) -> list[bytes]:
         """Canonical transaction order over the cover set of ``roots``.
@@ -373,7 +462,10 @@ class Dag:
         A transaction duplicated across sibling branches appears once, at
         its first position in this order.
         """
-        cover = self.cover_set(roots)
+        mask = self.cover_mask(roots)
+        if not self._listing:
+            return []  # no active vertex lists anything
+        cover = self._decode_mask(mask)
         pending: dict[bytes, int] = {}
         dependants: dict[bytes, list[bytes]] = {}
         ready: list[bytes] = []
@@ -388,12 +480,22 @@ class Dag:
                 heappush(ready, vid)
         out: list[bytes] = []
         emitted = set()
+        # a list equal to one already emitted adds nothing
+        lists: set[tuple[bytes, ...]] = set()
         while ready:
             vid = heappop(ready)
-            for txh in self.vertices[vid].tx_hashes:
-                if txh not in emitted:
-                    emitted.add(txh)
-                    out.append(txh)
+            tx_hashes = self.vertices[vid].tx_hashes
+            if tx_hashes not in lists:
+                lists.add(tx_hashes)
+                if emitted.isdisjoint(tx_hashes):
+                    # a vertex lists each hash once, so all of them are new
+                    emitted.update(tx_hashes)
+                    out += tx_hashes
+                else:
+                    for txh in tx_hashes:
+                        if txh not in emitted:
+                            emitted.add(txh)
+                            out.append(txh)
             for child in dependants.get(vid, ()):
                 pending[child] -= 1
                 if pending[child] == 0:

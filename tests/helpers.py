@@ -57,6 +57,24 @@ def in_degree_zero(dag: Dag) -> set:
     return {vid for vid in dag.vertices if vid not in referenced}
 
 
+def assert_runs_maximal_and_uniform(dag: Dag, pending) -> None:
+    """Every run of the :class:`~minagree.dag.Pending` snapshot holds
+    hashes that the same active vertices list, found by scanning the
+    vertex records, and no two neighbouring runs could be one."""
+    listed_by = {txh: set() for txh in pending.hashes}
+    for vid, vertex in dag.vertices.items():
+        for txh in vertex.tx_hashes:
+            if txh in listed_by:
+                listed_by[txh].add(vid)
+    sets = [listed_by[txh] for txh in pending.hashes]
+    runs = pending.runs
+    assert [start for start, _ in runs] == [0] + [end for _, end in runs[:-1]]
+    assert runs[-1][1] == len(pending) and all(start < end for start, end in runs)
+    for start, end in runs:
+        assert all(sets[k] == sets[start] for k in range(start, end))
+        assert start == 0 or sets[start] != sets[start - 1]
+
+
 def grow_random_dag(rng: random.Random, n_vertices: int, txs_per_vertex: int = 0) -> tuple[Dag, list]:
     """Random DAG grown by attaching to uniformly chosen existing vertices."""
     dag = Dag()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bfs_cover, brute_force_best_pair, grow_random_dag, h32
+from helpers import assert_runs_maximal_and_uniform, bfs_cover, brute_force_best_pair, grow_random_dag, h32
 from minagree.attachment import AttachmentStrategy, PoolView, RoundPool, _random_pair, build_vertex, select_parents
 from minagree.dag import Dag, make_vertex
 from minagree.errors import EmptyDag, UnknownParent, UnknownVertex
@@ -364,21 +364,6 @@ def test_build_vertex_payload_matches_bfs_filter_on_random_dags():
         dag.attach(vertex)
 
 
-def _assert_runs_maximal_and_uniform(dag, pending):
-    listed_by = {txh: set() for txh in pending.hashes}
-    for vid, vertex in dag.vertices.items():
-        for txh in vertex.tx_hashes:
-            if txh in listed_by:
-                listed_by[txh].add(vid)
-    sets = [listed_by[txh] for txh in pending.hashes]
-    runs = pending.runs
-    assert [start for start, _ in runs] == [0] + [end for _, end in runs[:-1]]
-    assert runs[-1][1] == len(pending) and all(start < end for start, end in runs)
-    for start, end in runs:
-        assert all(sets[k] == sets[start] for k in range(start, end))
-        assert start == 0 or sets[start] != sets[start - 1]
-
-
 def test_attachers_sharing_one_pending_match_bfs_filter_on_random_dags():
     rng = random.Random(72)
     for trial in range(40):
@@ -388,12 +373,12 @@ def test_attachers_sharing_one_pending_match_bfs_filter_on_random_dags():
         # active vertices, boundary markers, then this snapshot's own attachers
         pool = list(ids)
         for k in range(8):
-            _assert_runs_maximal_and_uniform(dag, pending)
+            assert_runs_maximal_and_uniform(dag, pending)
             parents = (rng.choice(pool), rng.choice(pool))
             vertex = build_vertex(dag, f"attacher-{k}", pending, parents, len(ids))
             assert vertex.tx_hashes == _bfs_payload(dag, mempool, parents)
             pool.append(dag.attach(vertex))
-        _assert_runs_maximal_and_uniform(dag, pending)
+        assert_runs_maximal_and_uniform(dag, pending)
 
 
 def test_build_vertex_unknown_parent():

@@ -7,7 +7,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from helpers import bfs_cover, grow_random_dag, h32, in_degree_zero, raises_exactly
+from helpers import (
+    assert_runs_maximal_and_uniform,
+    bfs_cover,
+    grow_random_dag,
+    h32,
+    in_degree_zero,
+    raises_exactly,
+)
 from minagree.dag import Dag, Vertex, genesis_vertex, make_vertex
 from minagree.errors import (
     CycleViolation,
@@ -180,6 +187,24 @@ def _attach_leaves_dag_unchanged(listed):
             DuplicateCoverage,
             f"transaction {T1.hex()} already covered",
         ),
+        # carol lists alice's listing whole
+        (
+            lambda: _attach_leaves_dag_unchanged((T1,)),
+            DuplicateCoverage,
+            f"transaction {T1.hex()} already covered",
+        ),
+        # bob's listing, then alice's, each whole; only alice's is covered
+        (
+            lambda: _attach_leaves_dag_unchanged((T2, T1)),
+            DuplicateCoverage,
+            f"transaction {T1.hex()} already covered",
+        ),
+        # bob's listing twice, whole each time, is still a repeat
+        (
+            lambda: _attach_leaves_dag_unchanged((T2, T2)),
+            DuplicateCoverage,
+            f"transaction {T2.hex()} listed twice",
+        ),
         (
             lambda: _attach_leaves_dag_unchanged((T2, T5, T2)),
             DuplicateCoverage,
@@ -195,7 +220,8 @@ def _attach_leaves_dag_unchanged(listed):
     ],
     ids=[
         "parent_count", "negative_round", "short_parent", "reattach", "zero_parents", "discard_stale_tips",
-        "covered", "listed_twice", "covered_and_listed_twice",
+        "covered", "covered_whole_listing", "covered_second_whole_listing", "whole_listing_twice",
+        "listed_twice", "covered_and_listed_twice",
     ],
 )
 def test_dag_validation_errors(call, error, message):
@@ -360,9 +386,11 @@ class DagMachine(RuleBasedStateMachine):
     """Random attach / prune sequences against brute force.
 
     The machine keeps its own model of every id ever attached (with its
-    round), so tips, covers, the transaction order and stranded
-    transactions are all recomputed from the raw vertex records after
-    every step.
+    round), so tips, covers, the transaction order, the listing masks and
+    the pending runs are all recomputed from the raw vertex records after
+    every step.  Besides fresh lists, vertices re-list an active vertex's
+    whole list or a strict slice of it, so attaches take both the
+    whole-listing path and the path that splits listings.
     """
 
     TXS = [h32(f"machine-tx-{k}") for k in range(8)]
@@ -374,6 +402,24 @@ class DagMachine(RuleBasedStateMachine):
 
     @rule(data=st.data(), lag=st.integers(0, 2), txs=st.lists(st.sampled_from(TXS), max_size=3, unique=True))
     def attach(self, data, lag, txs):
+        self._attach(data, lag, txs)
+
+    @precondition(lambda self: any(vertex.tx_hashes for vertex in self.dag.vertices.values()))
+    @rule(data=st.data(), lag=st.integers(0, 2))
+    def relist_whole(self, data, lag):
+        listers = [vertex for vertex in self.dag.vertices.values() if vertex.tx_hashes]
+        self._attach(data, lag, data.draw(st.sampled_from(listers)).tx_hashes)
+
+    @precondition(lambda self: any(len(vertex.tx_hashes) > 1 for vertex in self.dag.vertices.values()))
+    @rule(data=st.data(), lag=st.integers(0, 2))
+    def relist_slice(self, data, lag):
+        listers = [vertex for vertex in self.dag.vertices.values() if len(vertex.tx_hashes) > 1]
+        txs = data.draw(st.sampled_from(listers)).tx_hashes
+        size = data.draw(st.integers(1, len(txs) - 1))
+        start = data.draw(st.integers(0, len(txs) - size))
+        self._attach(data, lag, txs[start:start + size])
+
+    def _attach(self, data, lag, txs):
         known = list(self.rounds)
         parents = (data.draw(st.sampled_from(known)), data.draw(st.sampled_from(known)))
         vertex = make_vertex(parents, f"v{len(known)}", max(self.rounds[p] for p in parents) + lag, tuple(txs))
@@ -419,6 +465,22 @@ class DagMachine(RuleBasedStateMachine):
                 for w, vertex in dag.vertices.items()
                 if txh in vertex.tx_hashes
             )
+
+    @invariant()
+    def listing_index_matches_brute_force(self):
+        dag = self.dag
+        for txh in self.TXS:
+            mask = 0
+            for vid, vertex in dag.vertices.items():
+                if txh in vertex.tx_hashes:
+                    mask |= dag.own_bit(vid)
+            assert dag.is_listed(txh) == bool(mask)
+            if mask:
+                assert dag.listing_mask(txh) == mask
+            else:
+                with pytest.raises(UnknownTransaction):
+                    dag.listing_mask(txh)
+        assert_runs_maximal_and_uniform(dag, dag.pending(self.TXS))
 
 
 DagMachine.TestCase.settings = settings(
