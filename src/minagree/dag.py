@@ -8,6 +8,11 @@ over the active vertex population.  The bitmask cache is an optimisation
 only: correctness is defined by plain breadth-first traversal of the
 parent references, which the test suite checks against.
 
+Listed transactions are indexed by listing: hashes that the same active
+vertices list share one mask of those vertices' bits.  One walk splits a
+transaction list into runs drawn from one listing each, and both
+attaching a vertex and snapshotting the mempool read a list through it.
+
 A Dag instance is single-writer: reads may interleave freely between
 writes, but all mutating calls on one instance must be totally ordered.
 """
@@ -129,16 +134,6 @@ class _Listing:
 _UNLISTED = _Listing(0, ())
 
 
-def _remap(mask: int, new_bits: list[int]) -> int:
-    """``mask`` with each bit at position k replaced by ``new_bits[k]``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= new_bits[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 @dataclass(frozen=True)
 class Pending:
     """A mempool snapshot: ``hashes`` in arrival order, and ``runs``, the
@@ -168,10 +163,16 @@ class Dag:
 
     ``max_cover`` is the largest cover size among the active vertices.
 
+    Bits are allocated in insertion order, which is topological.  A
+    prune clears the pruned bits and shifts every mask down to the
+    lowest surviving bit, so the bits of vertices pruned after it stay
+    unused holes.
+
     The listing index maps each listed hash to its :class:`_Listing`,
     shared by every hash the same active vertices list.  Attachers of a
     round list the same runs of one snapshot, so a vertex's list is
-    mostly whole listings, and indexing it costs one step per listing.
+    mostly whole listings, and :meth:`_runs` reads each of those in one
+    step.
     """
 
     def __init__(self) -> None:
@@ -188,25 +189,43 @@ class Dag:
 
     # --- internal bookkeeping ---
 
-    def _index_vertex(self, vertex: Vertex, parents_mask: int) -> int:
-        """Give the vertex the next dense bit and its cover mask; returns
-        the bit.  The caller adds the bit to the masks of its listings."""
+    def _store(self, vertex: Vertex, parents_mask: int) -> None:
+        """Add the vertex with the next bit; the caller adds the bit to
+        the masks of its listings."""
         vid = vertex.vertex_id
-        own = 1 << len(self._ids)
+        self.vertices[vid] = vertex
+        mask = self._mask[vid] = 1 << len(self._ids) | parents_mask
         self._ids.append(vid)
-        mask = self._mask[vid] = own | parents_mask
         cover = mask.bit_count()
         if cover > self.max_cover:
             self.max_cover = cover
-        return own
-
-    def _store(self, vertex: Vertex, parents_mask: int) -> None:
-        vid = vertex.vertex_id
-        self.vertices[vid] = vertex
-        self._index_vertex(vertex, parents_mask)
         for parent in vertex.parents:
             self.tip_set.discard(parent)
         self.tip_set.add(vid)
+
+    def _runs(self, tx_hashes) -> list[tuple[_Listing, int, int, bool]]:
+        """Split ``tx_hashes`` into ``(listing, start, end, whole)`` runs
+        of neighbouring hashes drawn from one listing each, ``_UNLISTED``
+        for hashes no active vertex lists.
+
+        A run that is a whole listing in its listed order is found with
+        one tuple comparison and has ``whole`` set; any other run is
+        walked hash by hash.
+        """
+        get = self._listing.get
+        runs = []
+        start, n = 0, len(tx_hashes)
+        while start < n:
+            listing = get(tx_hashes[start], _UNLISTED)
+            end = start + len(listing.hashes)
+            whole = end > start and tx_hashes[start:end] == listing.hashes
+            if not whole:
+                end = start + 1
+                while end < n and get(tx_hashes[end], _UNLISTED) is listing:
+                    end += 1
+            runs.append((listing, start, end, whole))
+            start = end
+        return runs
 
     def _decode_mask(self, mask: int) -> set[bytes]:
         out = set()
@@ -270,10 +289,16 @@ class Dag:
         """Snapshot ``tx_hashes`` as a :class:`Pending`, split into the
         maximal runs whose entries the same active vertices list."""
         hashes = tuple(tx_hashes)
-        get = self._listing.get
-        masks = [get(txh, _UNLISTED).mask for txh in hashes]
-        starts = [k for k in range(len(masks)) if k == 0 or masks[k] != masks[k - 1]]
-        return Pending(hashes, tuple(zip(starts, starts[1:] + [len(hashes)])))
+        runs: list[tuple[int, int]] = []
+        last = None
+        # neighbouring runs of distinct listings may share a mask
+        for listing, start, end, _ in self._runs(hashes):
+            if listing.mask == last:
+                runs[-1] = (runs[-1][0], end)
+            else:
+                runs.append((start, end))
+                last = listing.mask
+        return Pending(hashes, tuple(runs))
 
     def uncovered_hashes(self, pending: Pending, cover_mask: int) -> tuple[bytes, ...]:
         """The hashes of ``pending`` that no vertex in the bitmask region
@@ -309,7 +334,13 @@ class Dag:
         Parents must exist (active or boundary marker), the vertex's round
         may not precede a parent's, and its transaction list must name
         each transaction once and be disjoint from everything its parents
-        already cover.  A rejected vertex leaves the DAG unchanged.
+        already cover; the first hash listed twice outranks the first one
+        a parent covers.  A rejected vertex leaves the DAG unchanged.
+
+        Each run of the list (see :meth:`_runs`) that is a whole listing
+        adds the vertex's bit to it; any other run becomes a listing of
+        its own, and a listing that loses some of its hashes keeps the
+        rest.
         """
         vid = vertex.vertex_id
         if vid in self.vertices or vid in self.boundary:
@@ -330,82 +361,36 @@ class Dag:
                     f"vertex round {vertex.round} precedes parent round {parent_round}"
                 )
         tx_hashes = vertex.tx_hashes
-        own = 1 << len(self._ids)
-        listings = self._whole_listings(tx_hashes) if tx_hashes else ()
-        if listings is None:
-            self._index_split(tx_hashes, parents_mask, own)
-        else:
-            for listing in listings:
+        if tx_hashes:
+            runs = self._runs(tx_hashes)
+            # whole runs of distinct listings cannot repeat a hash
+            whole = {listing for listing, _, _, is_whole in runs if is_whole}
+            if len(whole) < len(runs) and len(set(tx_hashes)) < len(tx_hashes):
+                seen: set[bytes] = set()
+                for txh in tx_hashes:
+                    if txh in seen:
+                        raise DuplicateCoverage(f"transaction {txh.hex()} listed twice")
+                    seen.add(txh)
+            for listing, start, _, _ in runs:
                 if listing.mask & parents_mask:
-                    raise DuplicateCoverage(f"transaction {listing.hashes[0].hex()} already covered")
-            for listing in listings:
-                listing.mask |= own
-        self._store(vertex, parents_mask)
-        return vid
-
-    def _whole_listings(self, tx_hashes) -> list[_Listing] | None:
-        """The distinct listings that ``tx_hashes`` joins end to end, each
-        whole and in its listed order, or None if it is not such a join."""
-        get = self._listing.get
-        out: list[_Listing] = []
-        start, n = 0, len(tx_hashes)
-        while start < n:
-            listing = get(tx_hashes[start])
-            if listing is None:
-                return None
-            end = start + len(listing.hashes)
-            if tx_hashes[start:end] != listing.hashes:
-                return None
-            out.append(listing)
-            start = end
-        if len(out) > 1 and len(set(out)) < len(out):
-            return None  # a listing twice is a repeat, which the split path names
-        return out
-
-    def _index_split(self, tx_hashes, parents_mask: int, own: int) -> None:
-        """Check every hash, then give the list the bit ``own``.
-
-        The first hash listed twice outranks the first one a parent
-        covers.  A list of unlisted hashes becomes one listing; otherwise
-        each run of the list drawn from one listing becomes a listing of
-        its own, and a listing that loses some of its hashes keeps the
-        rest.
-        """
-        if len(set(tx_hashes)) < len(tx_hashes):
-            seen: set[bytes] = set()
-            for txh in tx_hashes:
-                if txh in seen:
-                    raise DuplicateCoverage(f"transaction {txh.hex()} listed twice")
-                seen.add(txh)
-        index = self._listing
-        if index.keys().isdisjoint(tx_hashes):
-            listing = _Listing(own, tx_hashes)
-            for txh in tx_hashes:
-                index[txh] = listing
-            return
-        get = index.get
-        listings = [get(txh, _UNLISTED) for txh in tx_hashes]
-        for txh, listing in zip(tx_hashes, listings):
-            if listing.mask & parents_mask:
-                raise DuplicateCoverage(f"transaction {txh.hex()} already covered")
-        split: dict[_Listing, None] = {}
-        start, n = 0, len(tx_hashes)
-        for end in range(1, n + 1):
-            listing = listings[start]
-            if end < n and listings[end] is listing:
-                continue
-            run = tx_hashes[start:end]
-            if run == listing.hashes:
-                listing.mask |= own
-            else:
+                    raise DuplicateCoverage(f"transaction {tx_hashes[start].hex()} already covered")
+            own = 1 << len(self._ids)
+            index = self._listing
+            split: dict[_Listing, None] = {}
+            for listing, start, end, is_whole in runs:
+                if is_whole:
+                    listing.mask |= own
+                    continue
+                run = tx_hashes[start:end]
                 new = _Listing(listing.mask | own, run)
                 for txh in run:
                     index[txh] = new
                 if listing is not _UNLISTED:
                     split[listing] = None
-            start = end
-        for listing in split:
-            listing.hashes = tuple(txh for txh in listing.hashes if index[txh] is listing)
+            for listing in split:
+                listing.hashes = tuple(txh for txh in listing.hashes if index[txh] is listing)
+        self._store(vertex, parents_mask)
+        return vid
 
     def discard_stale_tips(self, current_round: int, max_age: int) -> int:
         """Always raises: no tip is ever flagged, every tip is eligible.
@@ -418,41 +403,34 @@ class Dag:
     def prune_finalized(self, roots) -> None:
         """Drop the cover of ``roots``, leaving a marker for each vertex.
 
-        A cover holds every active parent of its members, so no survivor
-        loses an active parent.  The reachability cache is rebuilt over
-        the survivors, and each listing's mask moves onto their new bits;
-        edges into the pruned region count as zero from here on.
+        A cover holds every ancestor of its members, so a survivor's new
+        cover is its old mask with the pruned bits cleared.  Each survivor
+        mask and each listing mask is shifted down to the lowest surviving
+        bit, and the listings no survivor lists leave the index; edges
+        into the pruned region count as zero from here on.
         """
-        cover = self.cover_set(roots)
-        if not cover:
+        pruned = self.cover_mask(roots)
+        if not pruned:
             return
-        for vid in cover:
-            self.boundary[vid] = self.vertices[vid].round
-            del self.vertices[vid]
+        masks = self._mask
+        for vid in self._decode_mask(pruned):
+            self.boundary[vid] = self.vertices.pop(vid).round
             self.tip_set.discard(vid)
-        # Rebuild the dense bit indices over the survivors.  Insertion
-        # order of self.vertices is topological, so one pass suffices.
-        old_masks = self._mask
-        new_bits = [0] * len(self._ids)
-        self._ids = []
-        self._mask = {}
-        self.max_cover = 0
-        for vid, vertex in self.vertices.items():
-            own = self._index_vertex(vertex, self.cover_mask(vertex.parents))
-            new_bits[old_masks[vid].bit_length() - 1] = own
-        # then move each listing's mask onto the new bits, once per
-        # distinct mask, and keep the listings a survivor still lists
-        remapped: dict[int, int] = {}
-        listings = dict.fromkeys(self._listing.values())
-        self._listing = index = {}
-        for listing in listings:
-            mask = remapped.get(listing.mask)
-            if mask is None:
-                mask = remapped[listing.mask] = _remap(listing.mask, new_bits)
-            if mask:
-                listing.mask = mask
+            del masks[vid]
+        # insertion order is bit order, so the first survivor has the lowest bit
+        first = next(iter(self.vertices), None)
+        shift = len(self._ids) if first is None else masks[first].bit_length() - 1
+        del self._ids[:shift]
+        keep = ~pruned
+        for vid, mask in masks.items():
+            masks[vid] = (mask & keep) >> shift
+        self.max_cover = max((mask.bit_count() for mask in masks.values()), default=0)
+        index = self._listing
+        for listing in dict.fromkeys(index.values()):
+            listing.mask = (listing.mask & keep) >> shift
+            if not listing.mask:
                 for txh in listing.hashes:
-                    index[txh] = listing
+                    del index[txh]
 
     def ordered_transactions(self, roots) -> list[bytes]:
         """Canonical transaction order over the cover set of ``roots``.

@@ -174,6 +174,11 @@ def _attach_leaves_dag_unchanged(listed):
         (lambda: Vertex((GENESIS_ID,), "a", 1, ()), ValueError, "a non-genesis vertex has exactly two parents"),
         (lambda: Vertex((), "a", -1, ()), ValueError, "round must be non-negative"),
         (lambda: Vertex((b"short", GENESIS_ID), "a", 1, ()), ValueError, "parent references must be 32-byte hashes"),
+        (
+            lambda: Vertex((GENESIS_ID, GENESIS_ID), "a", 1, (T1, b"short")),
+            ValueError,
+            "transaction references must be 32-byte hashes",
+        ),
         (lambda: _dag_with(ALICE).attach(ALICE), ValueError, f"vertex {ALICE.vertex_id.hex()} already attached"),
         (lambda: Dag().attach(Vertex((), "a", 0, ())), UnknownParent, "only the genesis vertex may have zero parents"),
         (
@@ -219,7 +224,8 @@ def _attach_leaves_dag_unchanged(listed):
         ),
     ],
     ids=[
-        "parent_count", "negative_round", "short_parent", "reattach", "zero_parents", "discard_stale_tips",
+        "parent_count", "negative_round", "short_parent", "short_tx_hash", "reattach", "zero_parents",
+        "discard_stale_tips",
         "covered", "covered_whole_listing", "covered_second_whole_listing", "whole_listing_twice",
         "listed_twice", "covered_and_listed_twice",
     ],
@@ -389,8 +395,9 @@ class DagMachine(RuleBasedStateMachine):
     round), so tips, covers, the transaction order, the listing masks and
     the pending runs are all recomputed from the raw vertex records after
     every step.  Besides fresh lists, vertices re-list an active vertex's
-    whole list or a strict slice of it, so attaches take both the
-    whole-listing path and the path that splits listings.
+    whole list, a strict slice of it, or its hashes out of listed order,
+    so attaches meet whole listings, parts of listings, and runs that
+    hold a listing's hashes without being it.
     """
 
     TXS = [h32(f"machine-tx-{k}") for k in range(8)]
@@ -419,12 +426,23 @@ class DagMachine(RuleBasedStateMachine):
         start = data.draw(st.integers(0, len(txs) - size))
         self._attach(data, lag, txs[start:start + size])
 
+    @precondition(lambda self: any(len(vertex.tx_hashes) > 1 for vertex in self.dag.vertices.values()))
+    @rule(data=st.data(), lag=st.integers(0, 2), repeat=st.booleans())
+    def relist_out_of_order(self, data, lag, repeat):
+        # permuted, or with one hash replaced by another of the list
+        listers = [vertex for vertex in self.dag.vertices.values() if len(vertex.tx_hashes) > 1]
+        txs = data.draw(st.permutations(data.draw(st.sampled_from(listers)).tx_hashes))
+        if repeat:
+            src, dst = data.draw(st.lists(st.integers(0, len(txs) - 1), min_size=2, max_size=2, unique=True))
+            txs[dst] = txs[src]
+        self._attach(data, lag, txs)
+
     def _attach(self, data, lag, txs):
         known = list(self.rounds)
         parents = (data.draw(st.sampled_from(known)), data.draw(st.sampled_from(known)))
         vertex = make_vertex(parents, f"v{len(known)}", max(self.rounds[p] for p in parents) + lag, tuple(txs))
         covered = {txh for vid in bfs_cover(self.dag, parents) for txh in self.dag.vertices[vid].tx_hashes}
-        if covered & set(txs):
+        if covered & set(txs) or len(set(txs)) < len(txs):
             with pytest.raises(DuplicateCoverage):
                 self.dag.attach(vertex)
             return

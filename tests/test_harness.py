@@ -142,6 +142,17 @@ def test_every_unsettled_fee_is_queued_or_listed(delay):
     assert run.retired > 0
 
 
+@pytest.mark.parametrize("delay", ["none", "fixed:2"])
+def test_long_run_bit_width_stays_bounded(delay):
+    # a prune shifts the masks down to the lowest surviving bit and leaves
+    # the bits of later pruned vertices as holes; they must not pile up
+    config = SimConfig(seed=7, n_blocks=300, delay_model=DelayModel.parse(delay))
+    run = _Run(config)
+    for r in range(config.n_blocks):
+        run.round(r)
+        assert all(run.dag.own_bit(vid).bit_length() <= 2 * config.n_attachers for vid in run.dag.vertices)
+
+
 def _traced_peak(n_blocks: int) -> int:
     config = SimConfig(seed=7, mempool_rate=50, max_block_txs=40, carryover_retry_limit=1, n_blocks=n_blocks)
     tracemalloc.start()
