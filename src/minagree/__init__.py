@@ -32,7 +32,6 @@ from .incentives import (
     proposer_reward,
 )
 from .rounds import (
-    BlockHeader,
     ChainState,
     NotarizedBlock,
     Proposal,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttachmentStrategy",
-    "BlockHeader",
     "ChainState",
     "Dag",
     "DelayModel",

@@ -245,11 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_sim)
 
     p_t1 = sub.add_parser("table1", help="DAG construction proposal-size grid")
-    p_t1.add_argument("--blocks", type=int, default=100)
+    p_t1.add_argument("--blocks", type=int, default=SimConfig.n_blocks)
     p_t1.add_argument("--sizes", default="10,100,1000")
     p_t1.add_argument("--strategies", default="all")
-    p_t1.add_argument("--seed", type=int, default=7)
-    p_t1.add_argument("--horizon", type=float, default=1.0, help="visibility horizon in rounds")
+    p_t1.add_argument("--seed", type=int, default=SimConfig.seed)
+    p_t1.add_argument(
+        "--horizon", type=float, default=SimConfig.visibility_horizon, help="visibility horizon in rounds"
+    )
     common(p_t1)
 
     p_bw = sub.add_parser("bandwidth", help="wire-cost formulas")

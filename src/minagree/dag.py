@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 
 from .errors import (
     CycleViolation,
@@ -456,26 +457,14 @@ class Dag:
             pending[vid] = count
             if count == 0:
                 heappush(ready, vid)
-        out: list[bytes] = []
-        emitted = set()
-        # a list equal to one already emitted adds nothing
-        lists: set[tuple[bytes, ...]] = set()
+        # each distinct list once, in heap order; a list equal to one
+        # already taken adds nothing
+        lists: dict[tuple[bytes, ...], None] = {}
         while ready:
             vid = heappop(ready)
-            tx_hashes = self.vertices[vid].tx_hashes
-            if tx_hashes not in lists:
-                lists.add(tx_hashes)
-                if emitted.isdisjoint(tx_hashes):
-                    # a vertex lists each hash once, so all of them are new
-                    emitted.update(tx_hashes)
-                    out += tx_hashes
-                else:
-                    for txh in tx_hashes:
-                        if txh not in emitted:
-                            emitted.add(txh)
-                            out.append(txh)
+            lists[self.vertices[vid].tx_hashes] = None
             for child in dependants.get(vid, ()):
                 pending[child] -= 1
                 if pending[child] == 0:
                     heappush(ready, child)
-        return out
+        return list(dict.fromkeys(chain.from_iterable(lists)))

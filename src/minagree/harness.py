@@ -15,7 +15,8 @@ The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
 A transaction is its 32-byte hash: the run keeps the fee of each hash
 that can still settle, and the mempool maps each queued hash to its
-requeue count.  The chain keeps a finalized block's header only.
+requeue count.  The chain keeps a block until it is final, and then only
+the hash of the newest final block.
 Everything derives from the configured seed and no wall clock or OS
 entropy enters, so identical configs give byte-identical reports.
 
@@ -439,9 +440,9 @@ class Table1Cell(_ReportRow):
 def table1_experiment(
     strategies,
     sizes,
-    n_blocks: int = 100,
-    seed: int = 7,
-    visibility_horizon: float = 1.0,
+    n_blocks: int = SimConfig.n_blocks,
+    seed: int = SimConfig.seed,
+    visibility_horizon: float = SimConfig.visibility_horizon,
 ) -> list[Table1Cell]:
     """Mean winning-proposal size per (strategy, attacher count) cell.
 

@@ -17,7 +17,7 @@ root of the block's part.  A :class:`Proposal` is that body stamped with
 one ranked proposer's identity and rank, and the notarized block holds
 the winning proposal, so its content is read from
 ``block.proposal.body`` alone.  Once the block is final, the chain keeps
-only its :class:`BlockHeader`.
+only its hash, which the next final block must link to.
 """
 
 from __future__ import annotations
@@ -241,36 +241,11 @@ def make_proposal(
 
 
 @dataclass(frozen=True)
-class BlockHeader:
-    """What the chain keeps of a block once it is final: the linkage and
-    the commitment to its transactions, not the transactions."""
-
-    round: int
-    proposer_id: str
-    prev_block_hash: bytes
-    merkle_root: bytes
-    tx_count: int
-    block_hash: bytes
-
-
-@dataclass(frozen=True)
 class NotarizedBlock:
     round: int
     proposal: Proposal
     notarization_signers: tuple[str, ...]
     block_hash: bytes
-
-    @property
-    def header(self) -> BlockHeader:
-        proposal = self.proposal
-        return BlockHeader(
-            round=self.round,
-            proposer_id=proposal.proposer_id,
-            prev_block_hash=proposal.prev_block_hash,
-            merkle_root=proposal.body.merkle_root,
-            tx_count=len(proposal.body.tx_list),
-            block_hash=self.block_hash,
-        )
 
 
 def notarize_round(proposals, ctx: RoundContext, honest_signers=None) -> NotarizedBlock:
@@ -306,21 +281,21 @@ def notarize_round(proposals, ctx: RoundContext, honest_signers=None) -> Notariz
 
 @dataclass
 class ChainState:
-    """A header for every notarized round; the full block only until it is final.
+    """The notarized blocks that are not final yet, and the newest final block.
 
     ``blocks`` holds the notarized blocks above ``finalized_height``;
-    :func:`finalize` hands each block over as it becomes final, so a long
-    run keeps one small header per round and no finalized transactions.
+    :func:`finalize` hands each block over as it becomes final and keeps
+    only its hash, ``finalized_hash`` (``None`` before any block is
+    final), so a long run keeps nothing per round.
     """
 
-    headers: dict[int, BlockHeader] = field(default_factory=dict)
     blocks: dict[int, NotarizedBlock] = field(default_factory=dict)
     finalized_height: int = -1
+    finalized_hash: bytes | None = None
 
     def add(self, block: NotarizedBlock) -> None:
-        if block.round in self.headers:
+        if block.round <= self.finalized_height or block.round in self.blocks:
             raise ForkDetected(f"two notarized blocks in round {block.round}")
-        self.headers[block.round] = block.header
         self.blocks[block.round] = block
 
 
@@ -328,18 +303,19 @@ def finalize(chain: ChainState, current_round: int) -> list[NotarizedBlock]:
     """Finalize every notarized ancestor at least two rounds deep.
 
     Returns the newly finalized blocks, oldest first, and drops them from
-    ``chain.blocks``; their headers stay.  Idempotent; a linkage break (a
-    header whose previous-hash does not match its predecessor's block
-    hash) halts the simulation.
+    ``chain.blocks``, keeping the last one's hash.  Idempotent; a linkage
+    break (a block whose previous-hash does not match the last final
+    block's hash) halts the simulation.
     """
     newly: list[NotarizedBlock] = []
-    headers = chain.headers
+    blocks = chain.blocks
     r = chain.finalized_height + 1
-    while r <= current_round - FINALITY_LAG and r in headers:
-        prev = headers.get(r - 1)
-        if prev is not None and headers[r].prev_block_hash != prev.block_hash:
+    while r <= current_round - FINALITY_LAG and r in blocks:
+        block = blocks[r]
+        if chain.finalized_hash is not None and block.proposal.prev_block_hash != chain.finalized_hash:
             raise ForkDetected(f"chain linkage broken at round {r}")
-        newly.append(chain.blocks.pop(r))
+        newly.append(blocks.pop(r))
         chain.finalized_height = r
+        chain.finalized_hash = block.block_hash
         r += 1
     return newly

@@ -7,6 +7,7 @@ are checked against genuinely separate implementations.
 
 import hashlib
 import random
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 import pytest
@@ -88,6 +89,29 @@ def grow_random_dag(rng: random.Random, n_vertices: int, txs_per_vertex: int = 0
         dag.attach(vertex)
         ids.append(vertex.vertex_id)
     return dag, ids
+
+
+def reference_order(dag: Dag, roots) -> list:
+    """Canonical transaction order rebuilt from scratch: Kahn's algorithm
+    over the BFS cover of ``roots``, taking the smallest ready vertex id
+    first, with each hash kept at its first position."""
+    cover = bfs_cover(dag, roots)
+    waiting = {vid: {p for p in dag.vertices[vid].parents if p in cover} for vid in cover}
+    ready = [vid for vid, parents in waiting.items() if not parents]
+    heapify(ready)
+    order, seen = [], set()
+    while ready:
+        vid = heappop(ready)
+        for txh in dag.vertices[vid].tx_hashes:
+            if txh not in seen:
+                seen.add(txh)
+                order.append(txh)
+        for child, parents in waiting.items():
+            if vid in parents:
+                parents.remove(vid)
+                if not parents:
+                    heappush(ready, child)
+    return order
 
 
 def brute_force_best_pair(dag: Dag, tips) -> tuple:
@@ -193,6 +217,21 @@ def recording_proposal_body(bodies: list):
         body = build(*args, **kwargs)
         bodies.append(body)
         return body
+
+    return recording
+
+
+def recording_finalize(blocks: list):
+    """``harness.finalize`` that also appends each block it makes final to
+    ``blocks``.  The chain keeps only the blocks that are not final yet,
+    so after a run ``blocks`` followed by ``chain.blocks.values()`` is
+    every round's block, in round order."""
+    final = harness.finalize
+
+    def recording(*args, **kwargs):
+        newly = final(*args, **kwargs)
+        blocks.extend(newly)
+        return newly
 
     return recording
 

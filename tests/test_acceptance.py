@@ -19,8 +19,10 @@ from helpers import (
     brute_force_min_cover,
     grow_random_dag,
     h32,
+    recording_finalize,
     reference_merkle,
 )
+from minagree import harness
 from minagree.harness import (
     SimConfig,
     bandwidth_estimate,
@@ -145,35 +147,42 @@ def test_criterion_4_greedy_cover_quality():
     print("PASS criterion 4: greedy cover complete and within (1+ln 20) of optimum, 200 DAGs")
 
 
-def test_criterion_5_determinism_and_hash_stability():
+def test_criterion_5_determinism_and_hash_stability(monkeypatch):
     config = SimConfig(
         seed=7, n_stakers=8, n_attachers=4, committee_size=3, n_proposers=2, n_blocks=12
     )
+    final = []
+    monkeypatch.setattr(harness, "finalize", recording_finalize(final))
     first = run_simulation(config)
+    blocks = final + list(first.chain.blocks.values())
     second = run_simulation(config)
     assert json.dumps(first.to_dict()).encode() == json.dumps(second.to_dict()).encode()
-    hashes = [first.chain.headers[r].block_hash.hex() for r in range(12)]
+    assert [block.round for block in blocks] == list(range(12))
+    hashes = [block.block_hash.hex() for block in blocks]
     golden = (FIXTURES / "block_hashes.txt").read_text().split()
     assert hashes == golden  # platform-independent derivation from the seed
     print("PASS criterion 5: byte-identical reports and frozen block-hash sequence")
 
 
-def test_criterion_6_finality_safety_and_liveness():
+def test_criterion_6_finality_safety_and_liveness(monkeypatch):
     config = SimConfig(
         seed=11, n_stakers=4, n_attachers=2, committee_size=3, n_proposers=1,
         n_blocks=1000, mempool_rate=1,
     )
-    report = run_simulation(config)
-    chain = report.chain
-    assert len(chain.headers) == 1000
-    assert chain.finalized_height == 997  # exactly 998 finalized blocks
+    final = []
+    monkeypatch.setattr(harness, "finalize", recording_finalize(final))
+    chain = run_simulation(config).chain
+    blocks = final + list(chain.blocks.values())
+    assert [block.round for block in blocks] == list(range(1000))
+    assert chain.finalized_height == 997 == len(final) - 1  # exactly 998 finalized blocks
+    assert chain.finalized_hash == final[-1].block_hash
     prev = None
-    for r in range(1000):
-        header = chain.headers[r]
+    for r, block in enumerate(blocks):
+        proposal = block.proposal
         if prev is not None:
-            assert header.prev_block_hash == prev.block_hash
-        assert header.block_hash == compute_block_hash(header.prev_block_hash, header.merkle_root, r)
-        prev = header
+            assert proposal.prev_block_hash == prev.block_hash
+        assert block.block_hash == compute_block_hash(proposal.prev_block_hash, proposal.body.merkle_root, r)
+        prev = block
     print("PASS criterion 6: 1000 honest rounds, 998 finalized at lag 2, chain linked")
 
 

@@ -9,6 +9,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+from helpers import recording_finalize
 import minagree
 from minagree import attachment, dag, harness, incentives, rounds
 from minagree.harness import (
@@ -33,16 +34,19 @@ def _bindings() -> dict:
     return {(owner, name): value for owner in owners for name, value in vars(owner).items()}
 
 
-def test_tracer_counts_a_tiny_run_of_each_experiment_and_uninstalls():
+def test_tracer_counts_a_tiny_run_of_each_experiment_and_uninstalls(monkeypatch):
     tracing = _load_tracing()
     config = SimConfig(n_blocks=6, mempool_rate=6, max_block_txs=4, n_proposers=3)
     plain = run_simulation(config)
+    final = []
+    monkeypatch.setattr(harness, "finalize", recording_finalize(final))
     before = _bindings()
 
     tracer = tracing.Tracer()
     undo = tracer.install()
     try:
         report = run_simulation(config)
+        blocks = final + list(report.chain.blocks.values())
         cells = table1_experiment(["greedy", "joint_cardinality"], [6], n_blocks=3)
         rows = censorship_experiment(SimConfig(), [0, 1, 2])
     finally:
@@ -64,7 +68,8 @@ def test_tracer_counts_a_tiny_run_of_each_experiment_and_uninstalls():
     assert metrics["dag.attach.calls"] == attaches + 4 + 3
     assert metrics["rounds.assemble_block.carried"] == sum(row.carried_over for row in report.rows)
     assert metrics["rounds.assemble_block.carried"] > 0
-    assert metrics["rounds.merkle_root.leaves"] == sum(h.tx_count for h in report.chain.headers.values())
+    assert [block.round for block in blocks] == list(range(config.n_blocks))
+    assert metrics["rounds.merkle_root.leaves"] == sum(len(block.proposal.body.tx_list) for block in blocks)
     picks = sum(row.proposal_size for row in report.rows) + sum(cell.mean_proposal_size * 3 for cell in cells)
     assert metrics["rounds.greedy_min_cover.picks"] == picks
     assert metrics["rounds.greedy_min_cover.candidates_mean"] > 0

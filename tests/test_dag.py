@@ -14,6 +14,7 @@ from helpers import (
     h32,
     in_degree_zero,
     raises_exactly,
+    reference_order,
 )
 from minagree.dag import Dag, Vertex, genesis_vertex, make_vertex
 from minagree.errors import (
@@ -379,6 +380,35 @@ def test_ordered_transactions_is_permutation_and_repeatable():
     assert order == dag.ordered_transactions(tips)
 
 
+def test_ordered_transactions_matches_reference_order():
+    # siblings re-list hashes that their parents' covers miss: fresh
+    # picks, exact copies and permuted copies of another vertex's list;
+    # some DAGs are pruned, some down to their boundary markers
+    rng = random.Random(13)
+    pool = [h32(f"order-tx-{k}") for k in range(10)]
+    for _ in range(80):
+        dag = Dag()
+        for k in range(rng.randrange(1, 25)):
+            if dag.vertices and rng.random() < 0.15:
+                dag.prune_finalized([rng.choice(sorted(dag.vertices))])
+            known = sorted(dag.vertices) or sorted(dag.boundary)
+            parents = (rng.choice(known), rng.choice(known))
+            covered = {txh for vid in bfs_cover(dag, parents) for txh in dag.vertices[vid].tx_hashes}
+            lists = [v.tx_hashes for v in dag.vertices.values() if v.tx_hashes and covered.isdisjoint(v.tx_hashes)]
+            how = rng.choice(["fresh", "copy", "permuted"])
+            if how == "fresh" or not lists:
+                free = [txh for txh in pool if txh not in covered]
+                txs = rng.sample(free, min(len(free), rng.randrange(4)))
+            else:
+                txs = list(rng.choice(lists))
+                if how == "permuted":
+                    rng.shuffle(txs)
+            dag.attach(make_vertex(parents, f"v{k}", k + 1, tuple(txs)))
+            active = sorted(dag.vertices)
+            roots = rng.sample(active, rng.randrange(1, min(3, len(active)) + 1))
+            assert dag.ordered_transactions(roots) == reference_order(dag, roots)
+
+
 def test_vertex_identity_is_content_addressed():
     g = genesis_vertex()
     a = make_vertex((g.vertex_id, h32("x")), "alice", 1, (h32("t"),))
@@ -474,6 +504,7 @@ class DagMachine(RuleBasedStateMachine):
 
         listed = {txh for vertex in dag.vertices.values() for txh in vertex.tx_hashes}
         order = dag.ordered_transactions(tips)
+        assert order == reference_order(dag, tips)
         assert len(order) == len(set(order)) and set(order) == listed
         # topological: each tx sits after every tx of some lister's ancestors
         pos = {txh: i for i, txh in enumerate(order)}

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import raises_exactly, recording_proposal_body, replay_ledger
+from helpers import raises_exactly, recording_finalize, recording_proposal_body, replay_ledger
 from minagree import harness
 from minagree.attachment import STRATEGY_NAMES, AttachmentStrategy
 from minagree.dag import Dag
@@ -50,13 +50,15 @@ def small_config(**kwargs):
     return SimConfig(**base)
 
 
-def test_trivial_single_actor_run():
+def test_trivial_single_actor_run(monkeypatch):
     config = SimConfig(
         seed=7, n_stakers=2, n_attachers=1, committee_size=1, n_proposers=1, n_blocks=5
     )
+    final = []
+    monkeypatch.setattr(harness, "finalize", recording_finalize(final))
     report = run_simulation(config)
     assert len(report.rows) == 5
-    assert len(report.chain.headers) == 5
+    assert [block.round for block in final + list(report.chain.blocks.values())] == list(range(5))
     assert report.aggregates["finalized_height"] == 2  # lag two: 3 blocks final
 
 
@@ -73,11 +75,14 @@ def test_different_seeds_differ():
     assert a != b
 
 
-def test_zero_mempool_rate_still_advances_chain():
+def test_zero_mempool_rate_still_advances_chain(monkeypatch):
+    final = []
+    monkeypatch.setattr(harness, "finalize", recording_finalize(final))
     report = run_simulation(small_config(mempool_rate=0, n_blocks=8))
-    assert len(report.chain.headers) == 8
+    blocks = final + list(report.chain.blocks.values())
+    assert [block.round for block in blocks] == list(range(8))
     assert all(row.fees == 0 for row in report.rows)
-    assert all(header.tx_count == 0 for header in report.chain.headers.values())
+    assert all(block.proposal.body.tx_list == () for block in blocks)
     assert report.aggregates["finalized_height"] == 5
 
 
@@ -95,36 +100,37 @@ def test_fee_totals_match_settled_rows():
     assert report.aggregates["total_fees_collected"] == sum(r.fees for r in report.rows)
 
 
-def test_finality_audit_lag_exactly_two():
-    report = run_simulation(small_config(n_blocks=40))
-    chain = report.chain
+def test_finality_audit_lag_exactly_two(monkeypatch):
+    final = []
+    monkeypatch.setattr(harness, "finalize", recording_finalize(final))
+    chain = run_simulation(small_config(n_blocks=40)).chain
     assert chain.finalized_height == 37
+    blocks = final + list(chain.blocks.values())
+    assert [block.round for block in blocks] == list(range(40))
     prev = None
-    for r in range(40):
-        header = chain.headers[r]
+    for r, block in enumerate(blocks):
+        proposal = block.proposal
         if prev is not None:
-            assert header.prev_block_hash == prev.block_hash
-        assert header.block_hash == compute_block_hash(header.prev_block_hash, header.merkle_root, r)
-        prev = header
+            assert proposal.prev_block_hash == prev.block_hash
+        assert block.block_hash == compute_block_hash(proposal.prev_block_hash, proposal.body.merkle_root, r)
+        prev = block
 
 
-def test_chain_keeps_every_header_and_only_unfinalized_bodies(monkeypatch):
-    bodies = []
+def test_chain_keeps_only_unfinalized_blocks(monkeypatch):
+    bodies, final = [], []
     monkeypatch.setattr(harness, "proposal_body", recording_proposal_body(bodies))
+    monkeypatch.setattr(harness, "finalize", recording_finalize(final))
     config = small_config(n_blocks=30, mempool_rate=6, max_block_txs=3, carryover_retry_limit=1)
     chain = run_simulation(config).chain
-    assert sorted(chain.headers) == list(range(config.n_blocks))
     assert sorted(chain.blocks) == list(range(chain.finalized_height + 1, config.n_blocks)) == [28, 29]
-    assert len(bodies) == config.n_blocks
-    for r, body in enumerate(bodies):
-        header = chain.headers[r]
-        assert header.round == r
-        assert header.tx_count == len(body.tx_list)
-        assert header.merkle_root == merkle_root(body.tx_list)
-    assert any(header.tx_count for header in chain.headers.values())
-    for r, block in chain.blocks.items():
-        assert block.header == chain.headers[r]
-        assert block.proposal.body is bodies[r]
+    assert chain.finalized_hash == final[-1].block_hash
+    blocks = final + list(chain.blocks.values())
+    assert len(bodies) == len(blocks) == config.n_blocks
+    for r, (block, body) in enumerate(zip(blocks, bodies)):
+        assert block.round == r
+        assert block.proposal.body is body
+        assert body.merkle_root == merkle_root(body.tx_list)
+    assert any(body.tx_list for body in bodies)
 
 
 @pytest.mark.parametrize("delay", ["none", "fixed:2"])
@@ -166,8 +172,8 @@ def _traced_peak(n_blocks: int) -> int:
 def test_long_run_peak_memory_grows_little():
     # traced allocations do not depend on host load; what still grows with
     # the run is the DAG's boundary markers, the frontier, the reward
-    # history, the rows and the block headers
-    assert _traced_peak(400) - _traced_peak(100) <= 1_000_000
+    # history and the rows
+    assert _traced_peak(400) - _traced_peak(100) <= 650_000
 
 
 def test_block_cap_carries_and_requeues(monkeypatch):
@@ -278,17 +284,19 @@ def small_configs(draw):
 @example(SimConfig(seed=7, max_block_txs=2, carryover_retry_limit=0, n_blocks=20))
 def test_run_simulation_invariants(config):
     # patched in the body: a function-scoped monkeypatch would span examples
-    prune, build = Dag.prune_finalized, harness.proposal_body
-    rounds_seen, bodies = [], []
+    prune, build, final_at = Dag.prune_finalized, harness.proposal_body, harness.finalize
+    rounds_seen, bodies, final = [], [], []
     Dag.prune_finalized = _checked_prune(rounds_seen)
     harness.proposal_body = recording_proposal_body(bodies)
+    harness.finalize = recording_finalize(final)
     try:
         report = run_simulation(config)
     finally:
-        Dag.prune_finalized, harness.proposal_body = prune, build
+        Dag.prune_finalized, harness.proposal_body, harness.finalize = prune, build, final_at
 
     agg = report.aggregates
-    headers = [report.chain.headers[r] for r in range(config.n_blocks)]
+    blocks = final + list(report.chain.blocks.values())
+    assert [block.round for block in blocks] == list(range(config.n_blocks))
     assert rounds_seen == list(range(config.n_blocks))
     assert len(bodies) == config.n_blocks
     assert agg["total_txs_injected"] == config.mempool_rate * config.n_blocks
@@ -297,10 +305,11 @@ def test_run_simulation_invariants(config):
     assert {key: agg[key] for key in replayed} == replayed
     if config.max_block_txs is not None:
         assert all(len(body.tx_list) <= config.max_block_txs for body in bodies)
-    for header, body in zip(headers, bodies):
-        assert merkle_root(body.tx_list) == body.merkle_root == header.merkle_root
-        assert header.tx_count == len(body.tx_list)
-        assert header.block_hash == compute_block_hash(header.prev_block_hash, header.merkle_root, header.round)
+    for block, body in zip(blocks, bodies):
+        proposal = block.proposal
+        assert proposal.body is body
+        assert merkle_root(body.tx_list) == body.merkle_root
+        assert block.block_hash == compute_block_hash(proposal.prev_block_hash, body.merkle_root, block.round)
     paid = sum(agg["balances"].values()) + Fraction(agg["reward_residual"])
     base = config.reward_policy.base_block_reward
     assert paid == agg["total_fees_collected"] + base * config.n_blocks
@@ -321,13 +330,15 @@ def test_delay_models_run_and_change_outcomes():
     assert fixed.to_dict() != base
 
 
-def test_strict_synchrony_via_fixed_delay():
+def test_strict_synchrony_via_fixed_delay(monkeypatch):
     # fixed:1 hides vertices for a whole round, so every attacher of a
     # round works from the previous round's frontier only
+    final = []
+    monkeypatch.setattr(harness, "finalize", recording_finalize(final))
     report = run_simulation(
         small_config(n_blocks=10, n_attachers=3, delay_model=DelayModel("fixed", 1))
     )
-    assert len(report.chain.headers) == 10
+    assert [block.round for block in final + list(report.chain.blocks.values())] == list(range(10))
 
 
 @pytest.mark.parametrize(

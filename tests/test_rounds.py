@@ -1,6 +1,5 @@
 """Beacon, roles, Merkle commitments, proposals, notarization, finality."""
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -435,8 +434,7 @@ def test_finalize_lag_two():
     assert newly == [block0]  # handed over with its body
     assert chain.finalized_height == 0
     assert sorted(chain.blocks) == [1, 2]
-    assert sorted(chain.headers) == [0, 1, 2]
-    assert chain.headers[0] == block0.header
+    assert chain.finalized_hash == block0.block_hash
     assert finalize(chain, 2) == []  # idempotent
 
 
@@ -446,32 +444,46 @@ def test_finalize_nothing_before_round_two():
     assert chain.finalized_height == -1
 
 
-def test_fork_detection_on_duplicate_round():
-    chain = _chain_with_blocks(2)
-    dup = NotarizedBlock(
-        round=1,
-        proposal=_proposal("q", 1),
-        notarization_signers=("a",),
-        block_hash=h32("other"),
-    )
-    with pytest.raises(ForkDetected):
-        chain.add(dup)
-    finalize(chain, current_round=3)
-    with pytest.raises(ForkDetected):  # a final round keeps its header
-        chain.add(dataclasses.replace(dup, round=0))
-
-
-def test_fork_detection_on_broken_linkage():
+def _add_again(round_no, final_to):
+    """Finalize a three-block chain up to ``final_to``, then notarize a
+    second block in ``round_no``."""
     chain = _chain_with_blocks(3)
-    bad = NotarizedBlock(
-        round=3,
-        proposal=_proposal("p", 0, prev=h32("wrong")),
-        notarization_signers=("a", "b", "c"),
-        block_hash=h32("b3"),
+    finalize(chain, current_round=final_to + 2)
+    chain.add(
+        NotarizedBlock(
+            round=round_no,
+            proposal=_proposal("q", 1),
+            notarization_signers=("a",),
+            block_hash=h32("other"),
+        )
     )
-    chain.add(bad)
-    with pytest.raises(ForkDetected):
-        finalize(chain, current_round=5)
+
+
+def _finalize_broken_link():
+    chain = _chain_with_blocks(3)
+    chain.add(
+        NotarizedBlock(
+            round=3,
+            proposal=_proposal("p", 0, prev=h32("wrong")),
+            notarization_signers=("a", "b", "c"),
+            block_hash=h32("b3"),
+        )
+    )
+    finalize(chain, current_round=5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _add_again(2, final_to=-1), "two notarized blocks in round 2"),
+        (lambda: _add_again(1, final_to=1), "two notarized blocks in round 1"),
+        (lambda: _add_again(0, final_to=1), "two notarized blocks in round 0"),
+        (_finalize_broken_link, "chain linkage broken at round 3"),
+    ],
+    ids=["duplicate_round", "final_round", "below_final_round", "broken_linkage"],
+)
+def test_fork_detected(call, message):
+    raises_exactly(call, ForkDetected, message)
 
 
 # --- assembly ---
