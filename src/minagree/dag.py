@@ -174,6 +174,11 @@ class Dag:
     round list the same runs of one snapshot, so a vertex's list is
     mostly whole listings, and :meth:`_runs` reads each of those in one
     step.
+
+    An instance has a single writer, so :meth:`tip_cover_masks` keeps
+    its snapshot of the tips' masks from the first read after a write
+    until the next write: ``_store`` and :meth:`prune_finalized`, the
+    only places that change ``tip_set`` or a mask, drop it.
     """
 
     def __init__(self) -> None:
@@ -183,6 +188,7 @@ class Dag:
         self._ids: list[bytes] = []
         self._mask: dict[bytes, int] = {}
         self._listing: dict[bytes, _Listing] = {}
+        self._tip_masks: tuple[int, ...] | None = None
         self.max_cover = 0
         genesis = genesis_vertex()
         self.genesis_id = genesis.vertex_id
@@ -203,6 +209,7 @@ class Dag:
         for parent in vertex.parents:
             self.tip_set.discard(parent)
         self.tip_set.add(vid)
+        self._tip_masks = None
 
     def _runs(self, tx_hashes) -> list[tuple[_Listing, int, int, bool]]:
         """Split ``tx_hashes`` into ``(listing, start, end, whole)`` runs
@@ -272,6 +279,17 @@ class Dag:
         """
         masks = self._mask
         return [masks[t] if t in masks else self.cover_mask((t,)) for t in tips]
+
+    def tip_cover_masks(self) -> tuple[int, ...]:
+        """The cover mask of every tip, in ``tip_set`` order.
+
+        Built on the first read after a write and kept until the next
+        write; the union of the masks is every active vertex.
+        """
+        if self._tip_masks is None:
+            masks = self._mask
+            self._tip_masks = tuple(masks[t] for t in self.tip_set)
+        return self._tip_masks
 
     def listing_mask(self, tx_hash: bytes) -> int:
         """The own bits of the active vertices listing the transaction, the
@@ -413,6 +431,7 @@ class Dag:
         pruned = self.cover_mask(roots)
         if not pruned:
             return
+        self._tip_masks = None
         masks = self._mask
         for vid in self._decode_mask(pruned):
             self.boundary[vid] = self.vertices.pop(vid).round

@@ -97,24 +97,35 @@ class RoundEconomics:
     delta: Fraction
 
 
-def delta_score(n_descendants: int, n_vertices: int) -> Fraction:
-    """Coverage ratio of a proposal: descendants over attachable vertices."""
+def _check_counts(n_descendants: int, n_vertices: int) -> None:
     if n_vertices < 1:
         raise InvalidCounts("n_vertices must be >= 1")
     if not 0 <= n_descendants <= n_vertices:
         raise InvalidCounts(
             f"n_descendants must be within [0, {n_vertices}], got {n_descendants}"
         )
+
+
+def delta_score(n_descendants: int, n_vertices: int) -> Fraction:
+    """Coverage ratio of a proposal: descendants over attachable vertices."""
+    _check_counts(n_descendants, n_vertices)
     return Fraction(n_descendants, n_vertices)
+
+
+def _clears(n_descendants: int, n_vertices: int, alpha: Fraction) -> bool:
+    """``n_descendants >= ceil(alpha * n_vertices)`` in integers: the
+    count is whole, so it reaches the ceiling exactly when it reaches
+    ``alpha * n_vertices``."""
+    return n_descendants * alpha.denominator >= alpha.numerator * n_vertices
 
 
 def check_hard_constraint(n_descendants: int, n_vertices: int, alpha) -> bool:
     """Validity predicate: coverage must reach a minimum percentage."""
-    delta_score(n_descendants, n_vertices)  # range validation
+    _check_counts(n_descendants, n_vertices)
     alpha = _as_fraction(alpha)
     if not 0 <= alpha <= 1:
         raise InvalidFraction("alpha must be in [0, 1]")
-    return n_descendants >= math.ceil(alpha * n_vertices)
+    return _clears(n_descendants, n_vertices, alpha)
 
 
 def proposer_reward(round_fees: int, base_reward: int, delta, policy: RewardPolicy) -> Fraction:
@@ -247,30 +258,36 @@ def censorship_cost(
     tips whose cover avoids every vertex that lists ``target_tx``; the
     honest one covers everything reachable from all eligible tips.  The
     price depends only on each proposal's coverage, which is its pool's
-    reachable set (genesis excluded), so no set cover is built for it:
-    one pass over the eligible tips' cover masks ORs both, a tip joining
-    the censoring one when its mask misses the target's
-    :meth:`~Dag.listing_mask`.  Both are scored against ``n_vertices``
-    attachable vertices and a pot of ``round_fees``.  Returns the reward
-    gap versus honest maximal coverage,
+    reachable set (genesis excluded), so no set cover is built for it.
+    Every active vertex lies under some tip, so the honest coverage is
+    the active count less genesis.  The censoring one is one pass over
+    :meth:`~Dag.tip_cover_masks`, the DAG's snapshot of the tips' masks,
+    ORing those that miss the target's :meth:`~Dag.listing_mask`; the
+    snapshot is built once after each write to the DAG, so the prices
+    read between two writes share it.  Both are scored against
+    ``n_vertices`` attachable vertices and a pot of ``round_fees``.
+    Returns the reward gap versus honest maximal coverage,
     ``(1 - non_producer_share) * pot * (n_honest - n_censor) / n_vertices``,
-    and whether the censoring proposal clears the minimum-coverage
-    constraint.  A transaction no active vertex lists raises
-    :class:`UnknownTransaction`, and an ``n_vertices`` below 1 or below
-    the honest coverage raises :class:`InvalidCounts`.
+    as one exact Fraction, and whether the censoring proposal clears the
+    minimum-coverage constraint.  A transaction no active vertex lists
+    raises :class:`UnknownTransaction`, and an ``n_vertices`` below 1 or
+    below the honest coverage raises :class:`InvalidCounts`.
     """
     forbidden = dag.listing_mask(target_tx)
-    honest = censor = 0
-    for mask in dag.tip_masks(dag.tip_set):
-        honest |= mask
+    censor = 0
+    for mask in dag.tip_cover_masks():
         if not mask & forbidden:
             censor |= mask
-    not_genesis = ~(dag.own_bit(dag.genesis_id) or 0)
-    n_honest = (honest & not_genesis).bit_count()
-    n_censor = (censor & not_genesis).bit_count()
+    genesis = dag.own_bit(dag.genesis_id) or 0
+    n_honest = dag.active_count - (genesis != 0)
+    n_censor = (censor & ~genesis).bit_count()
 
-    delta_score(n_honest, n_vertices)  # range validation; n_censor <= n_honest
-    feasible = n_censor >= math.ceil(policy.hard_alpha * n_vertices)
+    _check_counts(n_honest, n_vertices)  # n_censor <= n_honest
+    feasible = _clears(n_censor, n_vertices, policy.hard_alpha)
+    share = policy.non_producer_share
     pot = round_fees + policy.base_block_reward
-    gap = (1 - policy.non_producer_share) * pot * Fraction(n_honest - n_censor, n_vertices)
+    gap = Fraction(
+        (share.denominator - share.numerator) * pot * (n_honest - n_censor),
+        share.denominator * n_vertices,
+    )
     return gap, feasible

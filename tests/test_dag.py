@@ -516,6 +516,17 @@ class DagMachine(RuleBasedStateMachine):
             )
 
     @invariant()
+    def tip_snapshot_matches_brute_force(self):
+        # every active vertex lies under some tip, which lets the honest
+        # censorship coverage be read as a count, and a read after any
+        # write sees the tips' current masks
+        dag = self.dag
+        covers = [bfs_cover(dag, (tip,)) for tip in in_degree_zero(dag)]
+        assert set().union(*covers) == dag.vertices.keys()
+        masks = [sum(dag.own_bit(vid) for vid in cover) for cover in covers]
+        assert sorted(dag.tip_cover_masks()) == sorted(masks)
+
+    @invariant()
     def listing_index_matches_brute_force(self):
         dag = self.dag
         for txh in self.TXS:

@@ -1,5 +1,6 @@
 """Reward arithmetic, auctions, collusion and censorship pricing."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -63,6 +64,16 @@ def test_hard_constraint_alpha_one_requires_full_coverage():
         assert check_hard_constraint(n, n, Fraction(1)) is True
         if n > 1:
             assert check_hard_constraint(n - 1, n, Fraction(1)) is False
+
+
+ALPHAS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+def test_hard_constraint_integer_rule_matches_ceiling(alpha):
+    for n_vertices in range(1, 13):
+        for n in range(n_vertices + 1):
+            assert check_hard_constraint(n, n_vertices, alpha) is (n >= math.ceil(alpha * n_vertices))
 
 
 # --- producer reward ---
@@ -370,6 +381,30 @@ def test_censorship_cost_and_pool_match_oracles_on_random_dags(dag, slack, round
         assert censoring_tip_pool(dag, tx) == bfs_censoring_pool(dag, tx)
         args = (dag, tx, n_vertices, round_fees, policy)
         assert censorship_cost(*args) == set_cover_censorship_cost(*args)
+
+
+def test_censorship_cost_reads_fresh_tip_masks_after_each_write():
+    """A price read after an attach or a prune sees the tips and masks
+    that the write left, not the snapshot of the earlier price."""
+    dag, _ = grow_random_dag(random.Random(25), 30, txs_per_vertex=1)
+    policy = RewardPolicy(non_producer_share=Fraction(1, 4), hard_alpha=Fraction(1, 2))
+    # a deep target: the fewest tips, but some, may censor it
+    pools = {tx: bfs_censoring_pool(dag, tx) for tx in _listed_transactions(dag)}
+    target = min((tx for tx in pools if pools[tx]), key=lambda tx: len(pools[tx]))
+
+    def price():
+        args = (dag, target, dag.active_count, 100, policy)
+        assert censorship_cost(*args) == set_cover_censorship_cost(*args)
+
+    price()
+    # joins two tips that the censoring proposal may take, so it covers one more vertex
+    pool = pools[target]
+    dag.attach(make_vertex((pool[0], pool[-1]), "late", 31, ()))
+    price()
+    # pool[0]'s cover misses every vertex that lists the target, which
+    # stays listed
+    dag.prune_finalized((pool[0],))
+    price()
 
 
 def test_censorship_experiment_rows_equal_separate_calls(monkeypatch):
