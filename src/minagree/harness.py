@@ -15,8 +15,12 @@ The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
 A transaction is its 32-byte hash: the run keeps the fee of each hash
 that can still settle, and the mempool maps each queued hash to its
-requeue count.  The chain keeps a block until it is final, and then only
-the hash of the newest final block.
+requeue count, so queued ⊆ unsettled.  Requeue drops a hash from the
+mempool but keeps its fee and adds it to the ``dropped`` set, which
+retirement empties of the hashes that settled or that no active vertex
+lists; after each round ``dropped`` is exactly unsettled minus queued.
+The chain keeps a block until it is final, and then only the hash of
+the newest final block.
 Everything derives from the configured seed and no wall clock or OS
 entropy enters, so identical configs give byte-identical reports.
 
@@ -32,6 +36,7 @@ sensitivity runs around these defaults.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import statistics
@@ -73,12 +78,18 @@ FEE_GEOMETRIC_P = 0.125
 FEE_CAP = 64
 
 
-def _geometric_fee(rng: random.Random) -> int:
-    """Seeded geometric fee in whole token units (mean 1/p, capped)."""
-    fee = 1
-    while fee < FEE_CAP and rng.random() >= FEE_GEOMETRIC_P:
-        fee += 1
-    return fee
+def _geometric_fees(rng: random.Random, count: int) -> list[int]:
+    """``count`` seeded geometric fees in whole token units (mean 1/p,
+    capped), drawn one after another from ``rng``: each fee takes one
+    draw per unit above 1, and one more unless it reaches the cap."""
+    draw = rng.random
+    fees = []
+    for _ in range(count):
+        fee = 1
+        while fee < FEE_CAP and draw() >= FEE_GEOMETRIC_P:
+            fee += 1
+        fees.append(fee)
+    return fees
 
 
 @dataclass(frozen=True)
@@ -238,9 +249,11 @@ class _Run:
         self.seed = ZERO_HASH
         self.prev_hash = ZERO_HASH
         # queued ⊆ unsettled: a dropped tx keeps its fee while an active
-        # vertex lists it, since a sibling copy may still settle it
+        # vertex lists it, since a sibling copy may still settle it; after
+        # each round, dropped is exactly unsettled minus queued
         self.fees: dict[bytes, int] = {}  # unsettled tx -> fee
         self.mempool: dict[bytes, int] = {}  # queued tx -> times requeued
+        self.dropped: set[bytes] = set()  # unsettled txs no longer queued
         self.retired = 0  # dropped txs that can no longer settle
         # publicly unreferenced vertices, active or already settled
         self.frontier = {self.dag.genesis_id}
@@ -284,11 +297,13 @@ class _Run:
         )
 
     def inject(self, r: int) -> None:
+        """Queue the round's transactions: the n-th injected one has the
+        id ``_sha256(b"tx", seed, _be8(n))``, counting from 1."""
         rate = self.config.mempool_rate
-        for k in range(rate):
-            txh = _sha256(b"tx", self.seed, _be8(r * rate + k + 1))
-            self.fees[txh] = _geometric_fee(self.rng)
-            self.mempool[txh] = 0
+        sha256, prefix, first = hashlib.sha256, b"tx" + self.seed, r * rate + 1
+        ids = [sha256(prefix + n.to_bytes(8, "big")).digest() for n in range(first, first + rate)]
+        self.fees.update(zip(ids, _geometric_fees(self.rng, rate)))
+        self.mempool.update(dict.fromkeys(ids, 0))
 
     def attach(self, ctx: RoundContext) -> None:
         """Deliver due arrivals, then attach one vertex per attacher in shuffled slot order."""
@@ -342,35 +357,46 @@ class _Run:
 
     def settle(self, body: ProposalBody) -> int:
         """Settle the block's transactions and prune its cover; returns its fees."""
+        fees, mempool = self.fees, self.mempool
         total = 0
         for txh in body.tx_list:
-            fee = self.fees.pop(txh, None)
+            fee = fees.pop(txh, None)
             if fee is None:
                 continue  # an earlier block settled a sibling copy
-            self.mempool.pop(txh, None)
+            mempool.pop(txh, None)
             total += fee
         self.dag.prune_finalized(body.tip_set)
         return total
 
     def requeue(self, body: ProposalBody) -> None:
-        limit = self.config.carryover_retry_limit
+        limit, mempool = self.config.carryover_retry_limit, self.mempool
         for txh in body.carried_over:
-            if txh not in self.mempool:
+            attempts = mempool.get(txh)
+            if attempts is None:
                 continue  # settled or dropped
-            attempts = self.mempool[txh] + 1
+            attempts += 1
             if limit is not None and attempts > limit:
-                del self.mempool[txh]
+                del mempool[txh]
+                self.dropped.add(txh)
             else:
-                self.mempool[txh] = attempts  # stays queued for new vertices
+                mempool[txh] = attempts  # stays queued for new vertices
 
     def retire(self) -> None:
         """Forget the fee of every dropped transaction that no active vertex
-        lists: attachers list only queued hashes, so it can never settle."""
-        dag, fees = self.dag, self.fees
-        for txh in fees.keys() - self.mempool.keys():
-            if not dag.is_listed(txh):
+        lists: attachers list only queued hashes, so it can never settle.
+        Afterwards ``dropped`` holds only the dropped transactions that a
+        listing vertex may still settle."""
+        fees, listed = self.fees, self.dag.is_listed
+        keep = set()
+        for txh in self.dropped:
+            if txh not in fees:
+                continue  # a sibling copy settled it
+            if listed(txh):
+                keep.add(txh)
+            else:
                 del fees[txh]
                 self.retired += 1
+        self.dropped = keep
 
     def report(self) -> SimulationReport:
         ledger = distribute_rewards(self.history, self.config.reward_policy)
@@ -510,16 +536,15 @@ def censorship_experiment(config: SimConfig, target_depths) -> list[CensorshipRo
     depths = sorted(set(int(d) for d in target_depths))
     if not depths or depths[0] < 0:
         raise ConfigInvalid("target depths must be non-negative")
-    rng = random.Random(config.seed)
     levels = depths[-1] + 2
+    # one fee per planted transaction; nothing else draws from the rng
+    total_fees = sum(_geometric_fees(random.Random(config.seed), levels))
 
     dag = Dag()
     spine_txs: list[bytes] = []
-    total_fees = 0
     prev = dag.genesis_id
     for level in range(1, levels + 1):
         txh = _sha256(b"censorship-tx", _be8(config.seed), _be8(level))
-        total_fees += _geometric_fee(rng)
         spine = make_vertex((prev, prev), f"spine-{level:04d}", level, (txh,))
         dag.attach(spine)
         if level >= 2:

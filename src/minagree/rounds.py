@@ -22,6 +22,7 @@ only its hash, which the next final block must link to.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from .dag import HASH_BYTES, Dag, _be8, _sha256
@@ -54,10 +55,12 @@ def merkle_root(tx_hashes) -> bytes:
     level = list(tx_hashes)
     if not level:
         return ZERO_HASH
+    sha256 = hashlib.sha256
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])
-        level = [_sha256(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        pairs = iter(level)
+        level = [sha256(left + right).digest() for left, right in zip(pairs, pairs)]
     return level[0]
 
 
@@ -103,12 +106,17 @@ def draw_roles(
             f"committee of {committee_size} requested from {len(registry)} stakers"
         )
 
-    def sort_key(domain: bytes):
-        return lambda node: _sha256(seed, domain, node.encode("utf-8"))
+    names = [node.encode("utf-8") for node in registry]
 
-    ranking = tuple(sorted(registry, key=sort_key(b"propose")))
-    attachers = tuple(sorted(registry, key=sort_key(b"attach"))[:n_attachers])
-    committee = tuple(sorted(registry, key=sort_key(b"notarize"))[:committee_size])
+    def ranked(domain: bytes) -> list[str]:
+        # each identity's key is _sha256(seed, domain, name), in one call
+        prefix = seed + domain
+        keys = [hashlib.sha256(prefix + name).digest() for name in names]
+        return sorted(registry, key=dict(zip(registry, keys)).__getitem__)
+
+    ranking = tuple(ranked(b"propose"))
+    attachers = tuple(ranked(b"attach")[:n_attachers])
+    committee = tuple(ranked(b"notarize")[:committee_size])
     return RoundContext(
         round=round_no,
         attachers=attachers,

@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from minagree import harness
-from minagree.dag import Dag, make_vertex
+from minagree.dag import _UNLISTED, Dag, make_vertex
 from minagree.errors import UnknownTransaction
 from minagree.incentives import check_hard_constraint, delta_score, proposer_reward
 from minagree.rounds import greedy_min_cover
@@ -74,6 +74,26 @@ def assert_runs_maximal_and_uniform(dag: Dag, pending) -> None:
     for start, end in runs:
         assert all(sets[k] == sets[start] for k in range(start, end))
         assert start == 0 or sets[start] != sets[start - 1]
+
+
+def per_hash_runs(dag: Dag, tx_hashes: tuple) -> list:
+    """``Dag._runs`` walked one hash at a time over the listing index: a
+    run that starts a whole listing in its listed order is that listing,
+    and any other run is the longest stretch of hashes that map to the
+    same index entry, ``_UNLISTED`` standing for no entry."""
+    index = dag._listing
+    runs, start = [], 0
+    while start < len(tx_hashes):
+        listing = index.get(tx_hashes[start], _UNLISTED)
+        end = start + len(listing.hashes)
+        whole = end > start and tx_hashes[start:end] == listing.hashes
+        if not whole:
+            end = start + 1
+            while end < len(tx_hashes) and index.get(tx_hashes[end], _UNLISTED) is listing:
+                end += 1
+        runs.append((listing, start, end, whole))
+        start = end
+    return runs
 
 
 def grow_random_dag(rng: random.Random, n_vertices: int, txs_per_vertex: int = 0) -> tuple[Dag, list]:

@@ -13,10 +13,11 @@ from helpers import (
     grow_random_dag,
     h32,
     in_degree_zero,
+    per_hash_runs,
     raises_exactly,
     reference_order,
 )
-from minagree.dag import Dag, Vertex, genesis_vertex, make_vertex
+from minagree.dag import Dag, Vertex, _sha256, genesis_vertex, make_vertex
 from minagree.errors import (
     CycleViolation,
     DuplicateCoverage,
@@ -418,6 +419,28 @@ def test_vertex_identity_is_content_addressed():
     assert c.vertex_id != a.vertex_id
 
 
+@pytest.mark.parametrize("n_txs", [0, 1, 1000])
+@pytest.mark.parametrize("parents", [(), (h32("p2"), h32("p1"))], ids=["genesis_like", "two_parents"])
+def test_vertex_id_is_hash_of_documented_encoding(n_txs, parents):
+    # b"vertex", the parent count byte, the parents ascending, the round
+    # (8 bytes), the attacher's utf-8 length (4 bytes) and bytes, the list
+    # length (4 bytes) and the hashes in listed order, all big-endian
+    txs = tuple(h32(f"encoded-{k}") for k in range(n_txs))
+    name = "nöde-7".encode("utf-8")
+    vertex = Vertex(parents=parents, attacher_id="nöde-7", round=9, tx_hashes=txs)
+    encoding = [
+        b"vertex",
+        bytes([len(parents)]),
+        *sorted(parents),
+        (9).to_bytes(8, "big"),
+        len(name).to_bytes(4, "big"),
+        name,
+        n_txs.to_bytes(4, "big"),
+        *txs,
+    ]
+    assert vertex.vertex_id == _sha256(*encoding)
+
+
 class DagMachine(RuleBasedStateMachine):
     """Random attach / prune sequences against brute force.
 
@@ -427,10 +450,16 @@ class DagMachine(RuleBasedStateMachine):
     every step.  Besides fresh lists, vertices re-list an active vertex's
     whole list, a strict slice of it, or its hashes out of listed order,
     so attaches meet whole listings, parts of listings, and runs that
-    hold a listing's hashes without being it.
+    hold a listing's hashes without being it.  Long lists set machine
+    transactions inside stretches of filler hashes, and the pending runs
+    are checked over a list with long unlisted stretches too.
     """
 
     TXS = [h32(f"machine-tx-{k}") for k in range(8)]
+    # listed only in long stretches, so that runs of unlisted hashes
+    # outgrow the length from which Dag._runs scans them in C
+    FILLER = [h32(f"machine-filler-{k}") for k in range(48)]
+    PENDING = FILLER[:24] + TXS[:4] + FILLER[24:] + TXS[4:]
 
     def __init__(self):
         super().__init__()
@@ -466,6 +495,14 @@ class DagMachine(RuleBasedStateMachine):
             src, dst = data.draw(st.lists(st.integers(0, len(txs) - 1), min_size=2, max_size=2, unique=True))
             txs[dst] = txs[src]
         self._attach(data, lag, txs)
+
+    @rule(data=st.data(), lag=st.integers(0, 2), txs=st.lists(st.sampled_from(TXS), max_size=3, unique=True))
+    def attach_long(self, data, lag, txs):
+        # machine txs inside a stretch of filler hashes
+        start = data.draw(st.integers(0, len(self.FILLER)))
+        stretch = self.FILLER[start:start + data.draw(st.integers(0, len(self.FILLER) - start))]
+        cut = data.draw(st.integers(0, len(stretch)))
+        self._attach(data, lag, stretch[:cut] + txs + stretch[cut:])
 
     def _attach(self, data, lag, txs):
         known = list(self.rounds)
@@ -529,7 +566,7 @@ class DagMachine(RuleBasedStateMachine):
     @invariant()
     def listing_index_matches_brute_force(self):
         dag = self.dag
-        for txh in self.TXS:
+        for txh in self.TXS + self.FILLER:
             mask = 0
             for vid, vertex in dag.vertices.items():
                 if txh in vertex.tx_hashes:
@@ -541,6 +578,9 @@ class DagMachine(RuleBasedStateMachine):
                 with pytest.raises(UnknownTransaction):
                     dag.listing_mask(txh)
         assert_runs_maximal_and_uniform(dag, dag.pending(self.TXS))
+        assert_runs_maximal_and_uniform(dag, dag.pending(self.PENDING))
+        for hashes in [tuple(self.PENDING)] + [vertex.tx_hashes for vertex in dag.vertices.values()]:
+            assert dag._runs(hashes) == per_hash_runs(dag, hashes)
 
 
 DagMachine.TestCase.settings = settings(

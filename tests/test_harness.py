@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 from helpers import raises_exactly, recording_finalize, recording_proposal_body, replay_ledger
 from minagree import harness
 from minagree.attachment import STRATEGY_NAMES, AttachmentStrategy
-from minagree.dag import Dag
+from minagree.dag import Dag, _be8, _sha256
 from minagree.errors import ConfigInvalid
 from minagree.harness import (
+    FEE_CAP,
+    FEE_GEOMETRIC_P,
     CensorshipRow,
     DelayModel,
     SimConfig,
-    _geometric_fee,
+    _geometric_fees,
     _Run,
     bandwidth_estimate,
     censorship_experiment,
@@ -33,6 +35,14 @@ from minagree.incentives import RewardPolicy
 from minagree.rounds import compute_block_hash, merkle_root
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def reference_fee(rng: random.Random) -> int:
+    """One geometric fee, drawn one ``rng.random()`` at a time."""
+    fee = 1
+    while fee < FEE_CAP and rng.random() >= FEE_GEOMETRIC_P:
+        fee += 1
+    return fee
 
 
 def small_config(**kwargs):
@@ -145,7 +155,37 @@ def test_every_unsettled_fee_is_queued_or_listed(delay):
     for r in range(config.n_blocks):
         run.round(r)
         assert all(txh in run.mempool or run.dag.is_listed(txh) for txh in run.fees)
+        assert run.dropped == run.fees.keys() - run.mempool.keys()
     assert run.retired > 0
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_geometric_fees_match_one_draw_at_a_time(seed):
+    rng, reference = random.Random(seed), random.Random(seed)
+    fees = _geometric_fees(rng, 20_000)
+    assert fees == [reference_fee(reference) for _ in range(20_000)]
+    assert rng.getstate() == reference.getstate()
+    assert FEE_CAP in fees  # the cap ends a fee without its last draw
+
+
+@pytest.mark.parametrize("rate", [0, 1, 37])
+def test_inject_matches_per_hash_reference(rate):
+    # the n-th injected transaction is _sha256(b"tx", seed, _be8(n)); its
+    # fee is the next geometric draw, and nothing else draws in between
+    run = _Run(small_config(mempool_rate=rate))
+    rng = random.Random()
+    fees, mempool = {}, {}
+    for r in (0, 1, 5):
+        run.seed = hashlib.sha256(b"beacon %d" % r).digest()
+        rng.setstate(run.rng.getstate())
+        for n in range(r * rate + 1, (r + 1) * rate + 1):
+            txh = _sha256(b"tx", run.seed, _be8(n))
+            fees[txh] = reference_fee(rng)
+            mempool[txh] = 0
+        run.inject(r)
+        assert list(run.fees.items()) == list(fees.items())
+        assert list(run.mempool.items()) == list(mempool.items())
+        assert run.rng.getstate() == rng.getstate()
 
 
 @pytest.mark.parametrize("delay", ["none", "fixed:2"])
@@ -314,6 +354,18 @@ def test_run_simulation_invariants(config):
     base = config.reward_policy.base_block_reward
     assert paid == agg["total_fees_collected"] + base * config.n_blocks
     assert agg["finalized_height"] == max(config.n_blocks - 3, -1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_configs())
+@example(SimConfig(seed=7, max_block_txs=2, carryover_retry_limit=0, n_blocks=20))
+def test_dropped_set_is_unsettled_minus_queued(config):
+    # retire reads the dropped set in place of the difference of the fee
+    # and mempool keys, so the two must agree after every round
+    run = _Run(config)
+    for r in range(config.n_blocks):
+        run.round(r)
+        assert run.dropped == run.fees.keys() - run.mempool.keys()
 
 
 def test_delay_model_parsing():
@@ -551,7 +603,7 @@ def test_censorship_experiment_matches_comb_closed_form(seed, max_depth, policy)
     config = small_config(seed=seed, reward_policy=policy)
     levels = max_depth + 2
     rng = random.Random(seed)
-    pot = sum(_geometric_fee(rng) for _ in range(levels)) + policy.base_block_reward
+    pot = sum(reference_fee(rng) for _ in range(levels)) + policy.base_block_reward
     n_vertices = 2 * levels - 1
     rows = censorship_experiment(config, range(max_depth + 1))
     assert [r.depth for r in rows] == list(range(max_depth + 1))

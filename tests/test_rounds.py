@@ -14,7 +14,7 @@ from helpers import (
     reference_greedy_cover,
     reference_merkle,
 )
-from minagree.dag import Dag, make_vertex
+from minagree.dag import Dag, _sha256, make_vertex
 from minagree.errors import (
     EmptyDag,
     ForkDetected,
@@ -119,6 +119,28 @@ def test_draw_roles_rank_zero_uniform():
         counts[draw_roles(s, stakers, 1, 1).proposer_ranking[0]] += 1
     for node, count in counts.items():
         assert 850 <= count <= 1150, (node, count)
+
+
+@pytest.mark.parametrize(
+    "stakers",
+    [
+        [f"node-{i:05d}" for i in range(64)],
+        ["zoë", "ñandú", "日本", "n1", "n1", "", "😀", "naïve"],
+    ],
+    ids=["ascii", "non_ascii_and_repeats"],
+)
+def test_draw_roles_matches_reference_sort(stakers):
+    # each role sorts the registry by _sha256(seed, domain, utf-8 name)
+    for r in range(20):
+        seed = next_seed(ZERO_HASH, r)
+
+        def ranked(domain):
+            return tuple(sorted(stakers, key=lambda node: _sha256(seed, domain, node.encode("utf-8"))))
+
+        ctx = draw_roles(seed, stakers, 3, 4, round_no=r)
+        assert ctx.proposer_ranking == ranked(b"propose")
+        assert ctx.attachers == ranked(b"attach")[:3]
+        assert ctx.committee == ranked(b"notarize")[:4]
 
 
 def test_draw_roles_insufficient_stakers():
