@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count
 
 from .errors import (
     CycleViolation,
@@ -134,11 +134,6 @@ class _Listing:
 # what the listing index gives a hash that no active vertex lists
 _UNLISTED = _Listing(0, ())
 
-# the shortest rest of a list after which :meth:`Dag._runs` finds the end
-# of an unlisted run in one C-level scan: the scan costs about as much to
-# set up as walking 8 hashes, and a vertex listing one hash never pays it
-_SCAN_FROM = 16
-
 
 @dataclass(frozen=True)
 class Pending:
@@ -222,10 +217,10 @@ class Dag:
         for hashes no active vertex lists.
 
         A run that is a whole listing in its listed order is found with
-        one tuple comparison and has ``whole`` set.  An unlisted run with
-        more than ``_SCAN_FROM`` hashes after its first ends at the first
-        listed hash, found by one scan of index lookups mapped in C over
-        the rest of the list; any other run is walked hash by hash.
+        one tuple comparison and has ``whole`` set.  An unlisted run ends
+        at the first listed hash after its start, found by one scan of
+        index lookups mapped in C over an iterator set to start there;
+        any other run is walked hash by hash.
         """
         index = self._listing
         get, listed = index.get, index.__contains__
@@ -237,8 +232,10 @@ class Dag:
             whole = end > start and tx_hashes[start:end] == listing.hashes
             if not whole:
                 end = start + 1
-                if listing is _UNLISTED and n - end > _SCAN_FROM:
-                    end = next(compress(count(end), map(listed, islice(tx_hashes, end, None))), n)
+                if listing is _UNLISTED and end < n:
+                    rest = iter(tx_hashes)
+                    rest.__setstate__(end)  # starts at end, stepping over nothing
+                    end = next(compress(count(end), map(listed, rest)), n)
                 else:
                     while end < n and get(tx_hashes[end], _UNLISTED) is listing:
                         end += 1

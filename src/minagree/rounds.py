@@ -106,13 +106,10 @@ def draw_roles(
             f"committee of {committee_size} requested from {len(registry)} stakers"
         )
 
-    names = [node.encode("utf-8") for node in registry]
-
     def ranked(domain: bytes) -> list[str]:
         # each identity's key is _sha256(seed, domain, name), in one call
         prefix = seed + domain
-        keys = [hashlib.sha256(prefix + name).digest() for name in names]
-        return sorted(registry, key=dict(zip(registry, keys)).__getitem__)
+        return sorted(registry, key=lambda node: hashlib.sha256(prefix + node.encode("utf-8")).digest())
 
     ranking = tuple(ranked(b"propose"))
     attachers = tuple(ranked(b"attach")[:n_attachers])

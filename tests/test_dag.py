@@ -456,8 +456,8 @@ class DagMachine(RuleBasedStateMachine):
     """
 
     TXS = [h32(f"machine-tx-{k}") for k in range(8)]
-    # listed only in long stretches, so that runs of unlisted hashes
-    # outgrow the length from which Dag._runs scans them in C
+    # listed only in long stretches, so that Dag._runs meets long runs
+    # of unlisted hashes with listed hashes after them
     FILLER = [h32(f"machine-filler-{k}") for k in range(48)]
     PENDING = FILLER[:24] + TXS[:4] + FILLER[24:] + TXS[4:]
 

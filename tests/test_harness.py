@@ -155,7 +155,6 @@ def test_every_unsettled_fee_is_queued_or_listed(delay):
     for r in range(config.n_blocks):
         run.round(r)
         assert all(txh in run.mempool or run.dag.is_listed(txh) for txh in run.fees)
-        assert run.dropped == run.fees.keys() - run.mempool.keys()
     assert run.retired > 0
 
 
