@@ -17,8 +17,11 @@ Four ways to pick the two parents of a new vertex:
 
 All selections are pure functions of (dag state, candidate tips, rng
 stream), so identical seeds reproduce identical choices.  The attachers
-of one round share a :class:`RoundPool`: greedy and joint_cardinality
-read its ranking of the round's tips by cover size, built once on first
+of one round share a :class:`RoundPool`, which gives each candidate of
+the round one bit: the base pool first, then each published vertex.
+An attacher's :class:`PoolView` is one integer, the mask of the
+candidates it may attach to.  greedy and joint_cardinality read the
+pool's ranking of the candidates by cover size, built once on first
 use, and each published vertex inserts its own entry, so no attacher
 re-scans the pool.  A selection reads the ranking and only ``publish``
 writes it, so selections for distinct attachers may be evaluated in
@@ -31,6 +34,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .dag import Dag, Pending, Vertex, make_vertex
@@ -38,7 +42,9 @@ from .errors import EmptyDag, UnknownParent
 
 STRATEGY_NAMES = ("random", "joint_cardinality", "metropolis", "greedy")
 
-Entry = tuple[int, bytes, int]  # (-cover size, id, cover mask) of one candidate
+Entry = tuple[int, bytes, int, int]  # (-cover size, id, cover mask, bit) of one candidate
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -88,71 +94,77 @@ def _random_pair(pool: Sequence[bytes], rng: random.Random) -> tuple[bytes, byte
 class RoundPool:
     """The candidate tips of one attach phase, shared by its attachers' views.
 
-    ``base`` is the pool every attacher starts from, in draw order; the
-    phase then adds each vertex it publishes with :meth:`publish`.  A
-    vertex's cover mask cannot change before the next prune, so the
-    first ranked view ranks the base and the published vertices once,
-    as ``(-cover size, id, mask)`` entries, and each later publish
-    inserts one entry.  A random or metropolis phase never ranks.
+    Each candidate has one bit, ``1 << k`` for the ``k``-th in draw
+    order: ``base``, the pool every attacher starts from, holds bits
+    ``0..B-1`` and each vertex the phase publishes takes the next bit.
+    A vertex's cover mask cannot change before the next prune, so the
+    first ranked read ranks the candidates once, as ``(-cover size, id,
+    mask, bit)`` entries, and each later publish inserts one entry.  A
+    random or metropolis phase never ranks.
     """
 
-    def __init__(self, dag: Dag, base: list[bytes]) -> None:
+    def __init__(self, dag: Dag, base: Sequence[bytes]) -> None:
         self.dag = dag
-        self.base = base
-        self.published: set[bytes] = set()
+        self.ids = list(base)  # the candidates in bit order
+        self._bits = {vid: 1 << k for k, vid in enumerate(base)}
         self._ranking: list[Entry] | None = None
 
-    def publish(self, vertex_id: bytes) -> None:
-        self.published.add(vertex_id)
+    def publish(self, vertex_id: bytes) -> tuple[int, int]:
+        """Add a vertex the phase published; returns its bit and the bits
+        of its parents that are candidates."""
+        bits = self._bits
+        bit = 1 << len(self.ids)
+        parents = self.dag.vertices[vertex_id].parents
+        parent_bits = bits.get(parents[0], 0) | bits.get(parents[-1], 0)
+        self.ids.append(vertex_id)
+        bits[vertex_id] = bit
         if self._ranking is not None:
             mask = self.dag.cover_mask((vertex_id,))
-            insort(self._ranking, (-mask.bit_count(), vertex_id, mask))
+            insort(self._ranking, (-mask.bit_count(), vertex_id, mask, bit))
+        return bit, parent_bits
 
     def ranking(self) -> list[Entry]:
-        """The entries of the base and the published vertices, ranked on first call."""
+        """The entries of every candidate, ranked on first call."""
         if self._ranking is None:
-            ids = [*self.base, *self.published]
+            ids = self.ids
             masks = self.dag.tip_masks(ids)
-            self._ranking = sorted(zip([-m.bit_count() for m in masks], ids, masks))
+            bits = [1 << k for k in range(len(ids))]
+            self._ranking = sorted(zip([-m.bit_count() for m in masks], ids, masks, bits))
         return self._ranking
 
 
 class PoolView:
-    """One attacher's pool: the base, then ``adds`` (the published
-    vertices it sees, in publish order), both without ``removed`` (the
-    parents of the vertices it sees).
+    """One attacher's pool: the candidates of a :class:`RoundPool` whose
+    bits are set in ``members``.
 
-    :meth:`tips` lists the members in that draw order.  :meth:`ranked`
-    reads them off the round's ranking, skipping every published vertex
-    outside ``adds`` and every removed one.
+    :meth:`tips` lists the members in bit order, which is draw order:
+    the base, then the published vertices in publish order.
+    :meth:`ranked` reads them off the round's ranking.
     """
 
-    __slots__ = ("pool", "removed", "adds")
+    __slots__ = ("pool", "members")
 
-    def __init__(self, pool: RoundPool, removed: set[bytes], adds: Sequence[bytes]) -> None:
+    def __init__(self, pool: RoundPool, members: int) -> None:
         self.pool = pool
-        self.removed = removed
-        self.adds = adds
+        self.members = members
 
     def __len__(self) -> int:
-        return len(self.tips())
+        return self.members.bit_count()
 
     def tips(self) -> list[bytes]:
-        removed = self.removed
-        members = [t for t in self.pool.base if t not in removed]
-        members += [v for v in self.adds if v not in removed]
-        return members
+        # bin() writes the highest bit first; reversed, digit k selects candidate k
+        digits = bin(self.members)[:1:-1].encode().translate(_BINARY_DIGITS)
+        return list(compress(self.pool.ids, digits))
 
     def ranked(self, limit: int | None = None) -> list[Entry]:
         """The members' entries in rank order, only the first ``limit`` when given."""
-        skip = self.pool.published.difference(self.adds)
-        skip |= self.removed
+        members = self.members
         ranking = self.pool.ranking()
         if limit is None:
-            return [entry for entry in ranking if entry[1] not in skip]
+            return [entry for entry in ranking if entry[3] & members]
         top = []
         for entry in ranking:
-            if entry[1] not in skip:
+            if entry[3] & members:
                 top.append(entry)
                 if len(top) == limit:
                     break
@@ -162,7 +174,7 @@ class PoolView:
 def _max_union_pair(members: list[Entry]) -> tuple[bytes, bytes]:
     """Exact argmax of |cover(a) ∪ cover(b)| over distinct member pairs.
 
-    ``members`` holds at least two ``(-cover size, id, mask)`` entries in
+    ``members`` holds at least two ``(-cover size, id, mask, bit)`` entries in
     rank order, as :meth:`PoolView.ranked` reads them off the round's
     shared ranking, so a call looks up no mask, counts no cover and
     sorts no bucket.  Ties resolve to the lexicographically smallest
@@ -192,13 +204,13 @@ def _max_union_pair(members: list[Entry]) -> tuple[bytes, bytes]:
     ids in ascending order, exact-checks each partner whose bounds reach
     the maximum and keeps the smallest pair that does.
     """
-    anchor_neg, anchor, anchor_mask = members[0]
+    anchor_neg, anchor, anchor_mask, _ = members[0]
     anchor_pop = -anchor_neg
     buckets: dict[int, list[Entry]] = {}
     others = 0
     for k in range(1, len(members)):
         entry = members[k]
-        neg, _, mask = entry
+        neg, _, mask, _ = entry
         others |= mask
         # the intersection is no longer than the shorter mask; a union is not
         e = -neg - (anchor_mask & mask).bit_count()
@@ -219,11 +231,11 @@ def _max_union_pair(members: list[Entry]) -> tuple[bytes, bytes]:
                 break
             second = buckets[e2]
             top = -second[0][0]
-            for x, (neg_i, _, mask_i) in enumerate(first):
+            for x, (neg_i, _, mask_i, _) in enumerate(first):
                 pop_i = -neg_i
                 if pop_i + top <= best:
                     break
-                for neg_j, _, mask_j in first[x + 1:] if e1 == e2 else second:
+                for neg_j, _, mask_j, _ in first[x + 1:] if e1 == e2 else second:
                     if pop_i - neg_j <= best:
                         break
                     value = (mask_i | mask_j).bit_count()
@@ -243,7 +255,7 @@ def _max_union_pair(members: list[Entry]) -> tuple[bytes, bytes]:
     for e in keys:
         if e < excl_floor:
             break
-        for neg, vid, mask in buckets[e]:
+        for neg, vid, mask, _ in buckets[e]:
             if -neg < pop_floor:
                 break
             if pair is None or vid <= pair[0]:
@@ -255,7 +267,7 @@ def _max_union_pair(members: list[Entry]) -> tuple[bytes, bytes]:
         for e in keys:
             if excl_low + e - private < need:
                 break
-            for neg_j, j, mask_j in buckets[e]:
+            for neg_j, j, mask_j, _ in buckets[e]:
                 if pop_low - neg_j < best:
                     break
                 if low < j and (pair is None or (low, j) < pair) and (mask_low | mask_j).bit_count() == best:
@@ -274,15 +286,18 @@ def select_parents(
     ``tips`` overrides the candidate pool: a sequence (e.g. a delayed
     visibility snapshot), which must be duplicate-free and
     deterministically ordered since the random draws index into it, or
-    an attach phase's :class:`PoolView`.  greedy and joint_cardinality
-    read a view's ranked entries, and rank a plain pool first; random
-    and metropolis draw from its members in order.  The metropolis
-    threshold is measured against the dag's active vertex count.
+    an attach phase's :class:`PoolView`, whose member mask picks the
+    attacher's candidates.  A plain pool becomes a view of all its
+    candidates.  greedy and joint_cardinality read the view's ranked
+    entries; random and metropolis draw from its members in bit order.
+    The metropolis threshold is measured against the dag's active
+    vertex count.
     """
     if isinstance(tips, PoolView):
         view = tips
     else:
-        view = PoolView(RoundPool(dag, list(dag.eligible_tips() if tips is None else tips)), set(), ())
+        pool = RoundPool(dag, dag.eligible_tips() if tips is None else tips)
+        view = PoolView(pool, (1 << len(pool.ids)) - 1)
     kind = strategy.kind
     if kind == "greedy" or kind == "joint_cardinality":
         members = view.ranked(2 if kind == "greedy" else None)

@@ -10,7 +10,12 @@ Attach takes one ``Dag.pending`` snapshot of the mempool and cuts every
 attacher's payload from its runs of equally listed hashes; the runs
 stay exact because only vertices built from that snapshot attach until
 the phase ends.  Likewise it keeps one ``RoundPool`` of candidate tips,
-and each attacher selects from a ``PoolView`` of it.
+which gives each candidate one bit, and each attacher selects from a
+``PoolView`` of it: one member mask, the base pool and the vertices the
+attacher sees, without the parents of those it sees.  The vertices
+published at least a horizon before a slot are seen for certain, form a
+prefix of the slot-ordered publish list and are folded into the masks
+once; each later one takes one visibility draw.
 The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
 A transaction is its 32-byte hash: the run keeps the fee of each hash
@@ -318,27 +323,35 @@ class _Run:
         if not base_pool:
             base_pool = sorted(self.frontier)  # settled frontier keeps the chain alive
         pool = RoundPool(dag, base_pool)
+        base_bits = (1 << len(base_pool)) - 1
         pending = dag.pending(self.mempool)
         order = list(ctx.attachers)
         rng.shuffle(order)
-        # this round's undelayed vertices, gossiped to the later slots
-        published: list[tuple[int, bytes, tuple[bytes, ...]]] = []
+        # the chance that a vertex published ``age`` slots earlier has reached a slot
+        chance = [age / horizon for age in range(min(horizon, len(order)))]
+        draw = rng.random
+        # this round's undelayed vertices, gossiped to the later slots, as
+        # (slot, bit, parent bits); the first ``old`` reached every later
+        # slot for certain, and ``old_seen`` and ``old_removed`` fold them
+        published: list[tuple[int, int, int]] = []
+        old = old_seen = old_removed = 0
         for i, attacher in enumerate(order):
-            removed: set[bytes] = set()
-            adds: list[bytes] = []
-            for slot, vid, parents in published:
-                age = i - slot
-                if age >= horizon or rng.random() < age / horizon:
-                    adds.append(vid)
-                    removed.add(parents[0])
-                    removed.add(parents[-1])
-            parents = select_parents(dag, strategy, rng, tips=PoolView(pool, removed, adds))
+            while old < len(published) and i - published[old][0] >= horizon:
+                _, bit, parent_bits = published[old]
+                old_seen |= bit
+                old_removed |= parent_bits
+                old += 1
+            seen, removed = old_seen, old_removed
+            for slot, bit, parent_bits in published[old:]:
+                if draw() < chance[i - slot]:
+                    seen |= bit
+                    removed |= parent_bits
+            parents = select_parents(dag, strategy, rng, tips=PoolView(pool, (base_bits | seen) & ~removed))
             vertex = build_vertex(dag, attacher, pending, parents, r)
             dag.attach(vertex)
             delay = delay_model.draw(rng)
             if delay == 0:
-                published.append((i, vertex.vertex_id, vertex.parents))
-                pool.publish(vertex.vertex_id)
+                published.append((i, *pool.publish(vertex.vertex_id)))
             arrivals.setdefault(r + max(delay, 1), []).append((vertex.vertex_id, vertex.parents))
 
     def propose(self, ctx: RoundContext, targets: list[bytes]) -> NotarizedBlock:

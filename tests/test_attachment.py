@@ -254,10 +254,11 @@ def test_metropolis_matches_a_loop_checking_every_draw(dag, skipped):
 def round_views(draw):
     """One attach phase: a random DAG, pruned at times so that markers
     exist, a base pool, vertices published on top of it, and one
-    attacher's view, which sees some of them.  Returns the dag, the view
-    and the plain pool the view stands for: the base, then the seen
-    vertices in publish order, both without the parents of the seen
-    vertices."""
+    attacher's view, which sees some of them.  The view's member mask is
+    built as the attach phase builds it, from the bits ``publish``
+    returns.  Returns the dag, the view and the plain pool the view
+    stands for: the base, then the seen vertices in publish order, both
+    without the parents of the seen vertices."""
     rng = draw(st.randoms(use_true_random=False))
     dag, ids = grow_random_dag(rng, draw(st.integers(1, 30)))
     if len(ids) > 2 and draw(st.booleans()):
@@ -269,25 +270,33 @@ def round_views(draw):
     # publishes before the first ranked read; the rest insert into the ranking
     ranked_after = draw(st.integers(0, n_published))
     published = []
+    bits = {}
     for k in range(n_published):
         if k == ranked_after:
             pool.ranking()
         parents = (rng.choice(base + published), rng.choice(base + published))
         vertex = make_vertex(parents, f"slot-{k}", len(ids) + 1, ())
         dag.attach(vertex)
-        pool.publish(vertex.vertex_id)
+        bits[vertex.vertex_id] = pool.publish(vertex.vertex_id)
         published.append(vertex.vertex_id)
     seen_share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
     adds = [vid for vid in published if rng.random() < seen_share]
     removed = {parent for vid in adds for parent in dag.vertices[vid].parents}
     plain = [t for t in base if t not in removed] + [v for v in adds if v not in removed]
-    return dag, PoolView(pool, removed, adds), plain
+    seen = removed_bits = 0
+    for vid in adds:
+        bit, parent_bits = bits[vid]
+        seen |= bit
+        removed_bits |= parent_bits
+    members = ((1 << len(base)) - 1 | seen) & ~removed_bits
+    return dag, PoolView(pool, members), plain
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(round_views(), st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 0.25, 0.5, 1.0]))
 def test_round_view_selects_as_its_plain_pool(case, seed, threshold):
     dag, view, plain = case
+    assert view.tips() == plain
     assert len(view) == len(plain) >= 1
 
     metropolis = AttachmentStrategy("metropolis", metropolis_threshold=threshold, metropolis_max_iters=4)

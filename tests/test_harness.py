@@ -444,85 +444,112 @@ def test_trivial_run_matches_golden_fixture():
 # SHA-256 of json.dumps(report.to_dict()) for 30-block runs of the default
 # population with three proposers and a retry limit of 2, keyed by
 # strategy and then (delay model, block cap, visibility horizon); the
-# delayed and capped runs reach the cross-round arrival and carry-over paths
+# delayed and capped runs reach the cross-round arrival and carry-over paths.
+# At 8 attachers horizon 0 never draws and horizons 1 and 2.5 always draw
+# for each earlier vertex of the round; only horizon 0.5 (4 slots) mixes
+# vertices seen for certain with vertices that take a visibility draw
 REPORT_DIGESTS = {
     "random": {
         ("none", None, 0): "a3e84eb9e12b59dcd78181ab3aa42b2fa28379133132c6cb27a6646bc948759a",
+        ("none", None, 0.5): "7652240d4d869df9a092118ba8bbd66c250a33a349e2b123bd0bf94f3e347981",
         ("none", None, 1): "61845ccd09d281c85d82326938cba2fe24d640d4d578c3b5d4662c704810703d",
         ("none", None, 2.5): "4553d7bcfd9d16f966aa0a47804156782fd8198ec202ea2015d9e2e1e2da9e4c",
         ("none", 5, 0): "89e51154eaf86d33d8e8fcf9f589b53b7a46d79a5c2ae6b503752399083886dc",
+        ("none", 5, 0.5): "5e1bf5db1f194650a08d003928c8dfed436a5e063f0898bc7c1217ed35fd4fd3",
         ("none", 5, 1): "db35fffcc4c3a364e9b5c716ce7e21954d663a3f60a4d013f105cfa68e915276",
         ("none", 5, 2.5): "d2c4c2acc8029927a9b61ae4519cd527c51a8f070ea5d178b4ff1c290714d07f",
         ("fixed:2", None, 0): "16a92e160a87be70d16d60382c0770697ae9ea355ed2e0dcee60b3dcce406c25",
+        ("fixed:2", None, 0.5): "e29f0c49f7b8cb29a6428027351497610a91780f1a221d4c722ca2f575f410c5",
         ("fixed:2", None, 1): "0c568e2cf5c81f123a8ecf7b231fc0ab7ff986dedb1711a200faafd64a93735e",
         ("fixed:2", None, 2.5): "cba97c74bd1374aae2f1cd9712546242591e465d1d3cb779ddf794166e99d704",
         ("fixed:2", 5, 0): "083ec8f3818305aa95e9e47186d753d59ff82d85ffe37192dfc5647158b7a9c6",
+        ("fixed:2", 5, 0.5): "0a45c11123a2a4ae586f088925b805a110b36fcb911a7180ead0d046b59f2f19",
         ("fixed:2", 5, 1): "64a1c99fccb75e46de7c306865e221cbf9952b9ac7c50734ea62f6ae5bc826ff",
         ("fixed:2", 5, 2.5): "cd2baabbb43024c47df8d42a116da247b02af200c14fd7d286ef0f9061e2f2c3",
         ("uniform:3", None, 0): "fa591048d26036a57617f41e6f5b53892e6465460cc868d6d7c251ad40ff18e7",
+        ("uniform:3", None, 0.5): "38f8e92bf619f7141fb1a7927bb29d18659952055cc79373d8351a60bf6debcb",
         ("uniform:3", None, 1): "5edbdcbf6d1930a90dd2be3556ab00a5c4e1430c05157076d714a4622a39681a",
         ("uniform:3", None, 2.5): "65fc23665eabb21eeeae14dd9577f7cb2bd88f4c7b33d6a7bbc98f1109b979e0",
         ("uniform:3", 5, 0): "e42fc2d67ea193cfa591c64f23c735511c70b65a2e485c4a6bbdf37b5ca65937",
+        ("uniform:3", 5, 0.5): "87155495c1f57e77602d1bb64c592be0427afa53bcefc302045c4d5c3d225210",
         ("uniform:3", 5, 1): "44b22ba9449e9b46a29c697835b0781259e8d68088a95af66f0fd7c7a617b307",
         ("uniform:3", 5, 2.5): "6adcdf61ae59a1137ee48d463d133c821477a4d92795defcb49e2e3fe37d63e6",
     },
     "joint_cardinality": {
         ("none", None, 0): "3d67a7a476b674874ab1a83799c8a56512b8ebf69f86db0ae2cd711d3559da06",
+        ("none", None, 0.5): "1031164c0e1e3a72ce880a3288fe0d2056de28461c951f192c0d6d555582a1ae",
         ("none", None, 1): "be0a15ecce419bde4be033b1f518d6c6c173494d5efbbafed2ee111c7e0fc1de",
         ("none", None, 2.5): "48286c05885e098701ca31c3ed0edd44ff8263a4ed18215fca3c4510e11d0781",
         ("none", 5, 0): "1f5884f871d9d95e1a66a2c6d1bd54db20c85783160e46568df07a038ab22ef8",
+        ("none", 5, 0.5): "a92483bf77fa27e5cf46f0d6ad97a42520f57fd859efbfe4434b4c4a37fc2ae3",
         ("none", 5, 1): "bdc0fd633e53a1776cbbe15ff5735ee9810c57b60a4bd629eb42f30b6d2becb2",
         ("none", 5, 2.5): "b48201d2f2237b02bc3a717cdb46f469b07d869b41908c0a9b59e4886183b774",
         ("fixed:2", None, 0): "eb47a2d4aa6b86110e3c2a34827fc059413dfab3ad333392f3fa23e25228294d",
+        ("fixed:2", None, 0.5): "8f956dc9146d3948531e07921ad55ccb62d8b3f04d35a099ff13ca25e219e4b7",
         ("fixed:2", None, 1): "3653a0ea254e67df2c5de0c28a88fb3a2d2f28aa2c3a1fa4727b00b74b790ce0",
         ("fixed:2", None, 2.5): "559b773546ebeb3990bc4a79a2745060f8e5a6a8d138423dd5320b7bcbedfb19",
         ("fixed:2", 5, 0): "9b31278fee929b737bc414b02f0495a450df6238073e145962e1b96444b612ae",
+        ("fixed:2", 5, 0.5): "16e66eff163d56f61bd5ccc8a6827ad5e734d701a7032c8f52ead2708191f667",
         ("fixed:2", 5, 1): "6faf1a02f2adf4c7b661df7e90a47457f310a9f0abd56e1360bbc45b222dbd79",
         ("fixed:2", 5, 2.5): "abddf15313e3c5591102664c56463cbedd86fbc18c05504a8f41cf6aea2be97c",
         ("uniform:3", None, 0): "acef89fb3a3f31dfa9c677c923064b7a0145fce5c75e35f4742cc149ea53e077",
+        ("uniform:3", None, 0.5): "4faca8753c59177bbb79690f033672570fedc9770cb3f44454a036d5f67bb322",
         ("uniform:3", None, 1): "a1875cec300af09abda741dcde35a1ece81ac0d4cb84b246a610c333939ac460",
         ("uniform:3", None, 2.5): "87d083da3c76d77d998022fa3ca9c80fa53de780143bbffc38b93713a7060a78",
         ("uniform:3", 5, 0): "3bc71d7c8dd90caeea85b27cdcfbadb972fc3f4199a16dffa57c8eb55c25b7d1",
+        ("uniform:3", 5, 0.5): "fda7605e26523397280e6e594afdffc6c0b843e2bfc1931a342ca99a52be36d1",
         ("uniform:3", 5, 1): "5454284ac02d2f8ab5f2bd5cc7ea71058b35dddf9896eb1ce0e2a6fb9069512f",
         ("uniform:3", 5, 2.5): "1fa59f401128f3a49052f2ce6420afba48f01bbfeed48f17637f4b5b61b568f8",
     },
     "metropolis": {
         ("none", None, 0): "8e581f846b561c483cba79109e8492d14a9ed1b7448820ff2142a90d08bc7033",
+        ("none", None, 0.5): "410082783989e3e42b79c765e3477e69933af0b10c05512939f3cf8a5ec0b6d9",
         ("none", None, 1): "8d54e8d328f06b7e9e8bf049ec622ecf47d81499e7dbda292a1b3485145dc5f8",
         ("none", None, 2.5): "768ddc3e8cc279975f13d2e6917b06ed9132c1d1882e4971eb7a494a0e59c616",
         ("none", 5, 0): "91aad75c1e572a34edc1f7fee8916f2e55d674356b4ad860164cc5c3449c8df2",
+        ("none", 5, 0.5): "a0064fd7f2c4edb98fed44117b0f0fad721f322de04e8188e2277d13bd5b3e46",
         ("none", 5, 1): "a516dc70afb55da559da04f13b27b74693538fc4b41b9d8a13dfd11e1e6df8f2",
         ("none", 5, 2.5): "1fbbd5172969e5ede1a077c09a5d4e8150a3ff608b986319a82c94a6f102bc5f",
         ("fixed:2", None, 0): "000f48ed73979922ea71b967f8ea28a870dd3826cf36df372d163174590a84d8",
+        ("fixed:2", None, 0.5): "ac76a8a236a7af92bb8cbb3a913307db34528c73445a6659781c77a2d4cd6799",
         ("fixed:2", None, 1): "75d10f057aa3bf4520a2f8a840f2f6afecb93c23144c0f71e10e798291c70cbe",
         ("fixed:2", None, 2.5): "9d0ad78a2109561341626cb2b060c633583abe2858d1bd786e2904ddbb5365ba",
         ("fixed:2", 5, 0): "9cdd1f383cc8b02aff3ac264f02f9657f01bd3f88d646da9c83569a2ef4c63cd",
+        ("fixed:2", 5, 0.5): "3c25a75caae6990e095d76e4a4d1388d44845f189b1a8393508ccd35db5472bd",
         ("fixed:2", 5, 1): "87c703a720e49cdc03d7f2b2db6c0e00d085c4be3752611a6fe288331ff060b0",
         ("fixed:2", 5, 2.5): "37f3abd61bdd47086add5a1e8216a40b8fa6829c03cbe66bd5fac024254163f2",
         ("uniform:3", None, 0): "0636f52a07e479ac700de15be44de76828f80cc26dc044547fe2ea9b0f848757",
+        ("uniform:3", None, 0.5): "3aff8698dbf99aea8ebdc0cf0f6184ed66e81b678f03c8fffc6fefb0407173d1",
         ("uniform:3", None, 1): "e01403c934eb7eff343678337a81c7aaadb5e36ebec5ccb4bf760d56261033f5",
         ("uniform:3", None, 2.5): "1606e26aee76b15380c2e6d625399c4c019f9d966dc16b536b228ee0cbc8e71c",
         ("uniform:3", 5, 0): "4ce2ffd72d09b5142af5660c3a80db6328223a3cb51c709b932e265016612299",
+        ("uniform:3", 5, 0.5): "4b9c8523762bee7f8bd7a56621ec3ce856234669f677517e9f7a0b9b72a27dc4",
         ("uniform:3", 5, 1): "c18ee9d5a32d89d7051e948da9096b9bfb9b27dcf10e564944ce425b12db3049",
         ("uniform:3", 5, 2.5): "c06eb49f385a7600cffe725a65e87b70667fecc5fac6da1a2cda334fbc9fd37a",
     },
     "greedy": {
         ("none", None, 0): "312cf7a49f3537f441028f0bac7ffecbfac169d0417633930f810111bc716074",
+        ("none", None, 0.5): "2b06f0b3ddc18d282f70dd0c916bbfa5d40d6da0b5965724b35950a16222f453",
         ("none", None, 1): "fad79935899835b08aba9368e98302dd21ce080f54b7bc0cd8a9f5db15d46f09",
         ("none", None, 2.5): "ebd20c7eb367622d12fa94c43beb0ab48226c1840847fb44e928b8c5c8504196",
         ("none", 5, 0): "e24b0c8eca692b5fe22c32945533be1be6047ebf4c411e55655e090bdf5e5063",
+        ("none", 5, 0.5): "ddbb77b9bcfac6a4a198887bf1c3bec4e3744324953f6c747875103c319b210c",
         ("none", 5, 1): "c4b32382daff54032b9c2a9cf986136b68718151d9dd89297d71264cea146ce6",
         ("none", 5, 2.5): "dc35426dc1befc51d6aa1a0103d76767acc70ad92df673421650ed92e7b4afd2",
         ("fixed:2", None, 0): "f789ca18686d002ec4294428397efc6dad76a87aa427deb8aec199550874c2b3",
+        ("fixed:2", None, 0.5): "70f0c919c8ff930c2eeedca2fe8bf6479202a84d3b690bd507ce0c37237dd3e3",
         ("fixed:2", None, 1): "39ef84f81ad61632f702da6f6311d86a0184a756637c7389559219b176a77ad8",
         ("fixed:2", None, 2.5): "b68cbc24d5a0788f5d853c325e36a39f1e3a7e51923d4fda06b55eed986a4075",
         ("fixed:2", 5, 0): "75c008eb26e41807efb9a678acab3dd728e9e4ff2e2ae3e1a2067f044362437f",
+        ("fixed:2", 5, 0.5): "eb89589a60303934d7dd8afeac83a8dd1048ad41080de06c6f8d97337349fe96",
         ("fixed:2", 5, 1): "0b357694fddbcfc959ad7116f661a596785ef46bc60b54d518ac1ff5ee9078dd",
         ("fixed:2", 5, 2.5): "b1277eb5872b97a9ba0f58bd616f78e468a54903a639c922a65b44d1a56d7f2a",
         ("uniform:3", None, 0): "41d1ae708c7835691c591ef1c5ba9b20b6a6385fe124097ed14aceb7731d649b",
+        ("uniform:3", None, 0.5): "aabba31a5dd465f9a0839272c375def80b269f903033fc14512e8acd7c63c421",
         ("uniform:3", None, 1): "316417e772f6a3beccc9364e27f2518af1332fe839ef76774af92e2ff70d56dd",
         ("uniform:3", None, 2.5): "1c851f33b70aba066be33b56fda21fad592749e1b1208364eed60fab7f8adfae",
         ("uniform:3", 5, 0): "0fa378ec0085f2c51d52f7be1980a00526277f58b0bb0cfb80f7f20e1567c843",
+        ("uniform:3", 5, 0.5): "679a1e7e5a156514e0c0a6bd2797e1f7ed4948337d26a13d625e94ad220609fb",
         ("uniform:3", 5, 1): "a0e77289ca627e3d4f18e83b4897f4838ef4b605ec4deb542399638b922cdb4c",
         ("uniform:3", 5, 2.5): "83447ade1642aa11ed206fbe4070f70a6967cdaefbe43d4a95793481d4eb9787",
     },
