@@ -12,10 +12,7 @@ stay exact because only vertices built from that snapshot attach until
 the phase ends.  Likewise it keeps one ``RoundPool`` of candidate tips,
 which gives each candidate one bit, and each attacher selects from a
 ``PoolView`` of it: one member mask, the base pool and the vertices the
-attacher sees, without the parents of those it sees.  The vertices
-published at least a horizon before a slot are seen for certain, form a
-prefix of the slot-ordered publish list and are folded into the masks
-once; each later one takes one visibility draw.
+attacher sees, without the parents of those it sees.
 The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
 A transaction is its 32-byte hash: the run keeps the fee of each hash
@@ -327,23 +324,14 @@ class _Run:
         pending = dag.pending(self.mempool)
         order = list(ctx.attachers)
         rng.shuffle(order)
-        # the chance that a vertex published ``age`` slots earlier has reached a slot
-        chance = [age / horizon for age in range(min(horizon, len(order)))]
-        draw = rng.random
         # this round's undelayed vertices, gossiped to the later slots, as
-        # (slot, bit, parent bits); the first ``old`` reached every later
-        # slot for certain, and ``old_seen`` and ``old_removed`` fold them
+        # (slot, bit, parent bits)
         published: list[tuple[int, int, int]] = []
-        old = old_seen = old_removed = 0
         for i, attacher in enumerate(order):
-            while old < len(published) and i - published[old][0] >= horizon:
-                _, bit, parent_bits = published[old]
-                old_seen |= bit
-                old_removed |= parent_bits
-                old += 1
-            seen, removed = old_seen, old_removed
-            for slot, bit, parent_bits in published[old:]:
-                if draw() < chance[i - slot]:
+            seen = removed = 0
+            for slot, bit, parent_bits in published:
+                age = i - slot
+                if age >= horizon or rng.random() < age / horizon:
                     seen |= bit
                     removed |= parent_bits
             parents = select_parents(dag, strategy, rng, tips=PoolView(pool, (base_bits | seen) & ~removed))
