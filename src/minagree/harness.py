@@ -26,6 +26,13 @@ the newest final block.
 Everything derives from the configured seed and no wall clock or OS
 entropy enters, so identical configs give byte-identical reports.
 
+The Table-1 grid runs each cell in a forked child, as many at once as
+the process's affinity mask holds cores, the largest cells first.  A
+cell's result depends only on its config, so the rows are those of a
+serial run, in the same order; the cells run serially in this process
+on one core, where ``os.fork`` is missing, or while another thread is
+alive.
+
 Attachment visibility model: attachers take their one slot per round in
 a seeded random order.  A vertex placed in slot j reaches the attacher
 in slot i with an independent per-link gossip delay uniform over the
@@ -39,9 +46,12 @@ sensitivity runs around these defaults.
 from __future__ import annotations
 
 import hashlib
+import marshal
 import math
+import os
 import random
 import statistics
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
@@ -475,16 +485,19 @@ def table1_experiment(
 
     Every cell runs the full round pipeline with zero cross-round delay
     and an empty mempool (proposal sizes do not depend on transaction
-    load), on a seed derived independently per cell.  Cells are
-    independent and may be evaluated in parallel as long as the output
-    keeps this row order.
+    load), on a seed derived independently per cell.  Every cell's
+    config is built, and so checked, before any cell runs.  The cells
+    then run in forked children, as many at once as this process has
+    cores (see :func:`_run_cells`); the rows come back strategy-major,
+    in the order of ``strategies`` and ``sizes``, whatever order the
+    children finish in.
     """
     if not 0 <= seed < 2**64:
         raise ConfigInvalid(f"seed must be in [0, 2**64), got {seed}")
     for n_vertices in sizes:
         if not 1 <= n_vertices < 2**64:
             raise ConfigInvalid(f"sizes must be in [1, 2**64), got {n_vertices}")
-    cells = []
+    configs = []
     for strategy in strategies:
         if not isinstance(strategy, AttachmentStrategy):
             strategy = AttachmentStrategy.from_name(strategy)
@@ -493,29 +506,106 @@ def table1_experiment(
                 _sha256(b"cell", _be8(seed), strategy.kind.encode("utf-8"), _be8(n_vertices))[:8],
                 "big",
             )
-            config = SimConfig(
-                seed=cell_seed,
-                n_stakers=n_vertices,
-                n_attachers=n_vertices,
-                committee_size=1,
-                n_proposers=1,
-                strategy=strategy,
-                n_blocks=n_blocks,
-                mempool_rate=0,
-                visibility_horizon=visibility_horizon,
-            )
-            report = run_simulation(config)
-            cells.append(
-                Table1Cell(
-                    strategy=strategy.kind,
-                    n_vertices=n_vertices,
-                    mean_proposal_size=report.aggregates["mean_proposal_size"],
-                    stddev=report.aggregates["stddev_proposal_size"],
+            configs.append(
+                SimConfig(
+                    seed=cell_seed,
+                    n_stakers=n_vertices,
+                    n_attachers=n_vertices,
+                    committee_size=1,
+                    n_proposers=1,
+                    strategy=strategy,
                     n_blocks=n_blocks,
-                    seed=seed,
+                    mempool_rate=0,
+                    visibility_horizon=visibility_horizon,
                 )
             )
-    return cells
+    return [
+        Table1Cell(
+            strategy=config.strategy.kind,
+            n_vertices=config.n_attachers,
+            mean_proposal_size=mean,
+            stddev=stddev,
+            n_blocks=n_blocks,
+            seed=seed,
+        )
+        for config, (mean, stddev) in zip(configs, _run_cells(configs))
+    ]
+
+
+def _cell(config: SimConfig) -> tuple[float, float]:
+    """One Table-1 cell: the mean and standard deviation of its proposal sizes."""
+    aggregates = run_simulation(config).aggregates
+    return aggregates["mean_proposal_size"], aggregates["stddev_proposal_size"]
+
+
+def _cell_workers() -> int:
+    """How many cells may run at once: the cores in this process's
+    affinity mask, or 1 where forking is missing or unsafe (another
+    thread is alive, whose locks a child would inherit held)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_cells(configs: list[SimConfig]) -> list[tuple[float, float]]:
+    """``_cell`` of every config, in order, with up to ``_cell_workers()``
+    forked children at a time, the largest cells first.
+
+    Each child sends its marshalled result down a pipe of its own and
+    exits at once.  The parent waits on those pipes and reaps only its
+    own children's pids, so a caller's other children are left alone.
+    A cell whose child fails runs again in this process, so that its
+    exception surfaces here; a child still running when the call ends,
+    by return or by exception, is killed and reaped.
+    """
+    workers = min(_cell_workers(), len(configs))
+    if workers <= 1:
+        return [_cell(config) for config in configs]
+    # imported here: the serial path needs neither, and a process that
+    # never forks cells should not carry their memory
+    import select
+    import signal
+
+    results: list = [None] * len(configs)
+    todo = sorted(range(len(configs)), key=lambda i: configs[i].n_attachers, reverse=True)  # ties in row order
+    running: dict[int, tuple[int, int]] = {}  # read end -> (cell index, child pid)
+    try:
+        while todo or running:
+            while todo and len(running) < workers:
+                index = todo.pop(0)
+                read_end, write_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
+                if pid == 0:  # the child: run one cell, report, and leave without cleanup
+                    code = 1
+                    try:
+                        os.write(write_end, marshal.dumps(_cell(configs[index])))
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(write_end)
+                running[read_end] = (index, pid)
+            ready, _, _ = select.select(list(running), [], [])
+            for read_end in ready:
+                index, pid = running[read_end]
+                payload = os.read(read_end, 64)  # the child's one short write arrives whole; b"" if it failed
+                _, status = os.waitpid(pid, 0)
+                del running[read_end]
+                os.close(read_end)
+                if os.waitstatus_to_exitcode(status) == 0:
+                    results[index] = marshal.loads(payload)
+                else:
+                    results[index] = _cell(configs[index])
+    finally:
+        for read_end, (_, pid) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+    return results
 
 
 @dataclass(frozen=True)

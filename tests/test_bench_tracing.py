@@ -40,6 +40,8 @@ def test_tracer_counts_a_tiny_run_of_each_experiment_and_uninstalls(monkeypatch)
     plain = run_simulation(config)
     final = []
     monkeypatch.setattr(harness, "finalize", recording_finalize(final))
+    # the tracer counts calls in this process, so the cells must not run in children
+    monkeypatch.setattr(harness, "_cell_workers", lambda: 1)
     before = _bindings()
 
     tracer = tracing.Tracer()

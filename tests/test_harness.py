@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +19,7 @@ from helpers import raises_exactly, recording_finalize, recording_proposal_body,
 from minagree import harness
 from minagree.attachment import STRATEGY_NAMES, AttachmentStrategy
 from minagree.dag import Dag, _be8, _sha256
-from minagree.errors import ConfigInvalid
+from minagree.errors import ConfigInvalid, SimulatorError
 from minagree.harness import (
     FEE_CAP,
     FEE_GEOMETRIC_P,
@@ -595,6 +597,106 @@ def test_table1_experiment_shape_and_determinism():
     again = table1_experiment(["random", "greedy"], [10], n_blocks=15, seed=3)
     assert cells == again
     assert all(c.n_blocks == 15 and c.seed == 3 for c in cells)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_cells_give_the_serial_rows_in_row_order(monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    sizes, rows = [1, 5, 40], {}
+    for workers in (2, 1):
+        monkeypatch.setattr(harness, "_cell_workers", lambda workers=workers: workers)
+        rows[workers] = [
+            [c.to_dict() for c in table1_experiment(STRATEGY_NAMES, sizes, n_blocks=6, visibility_horizon=h)]
+            for h in (0.5, 1)
+        ]
+        _no_children_left()
+        # 2 horizons x 4 strategies x 3 sizes, one child each, then none
+        assert len(forks) == 24
+    assert rows[2] == rows[1]
+    for grid in rows[2]:
+        assert [(c["strategy"], c["n_vertices"]) for c in grid] == [(s, n) for s in STRATEGY_NAMES for n in sizes]
+
+
+@pytest.mark.parametrize("workers", [2, 1])
+def test_a_failing_cell_raises_its_own_error(monkeypatch, workers):
+    real_run = harness.run_simulation
+
+    def failing_run(config):
+        if config.n_attachers == 1:
+            raise SimulatorError(f"no cell of {config.n_attachers} attacher")
+        return real_run(config)
+
+    monkeypatch.setattr(harness, "run_simulation", failing_run)
+    monkeypatch.setattr(harness, "_cell_workers", lambda: workers)
+    # the cells of 120 run first, so one may still run when the cell of 1 fails
+    raises_exactly(
+        lambda: table1_experiment(["random", "greedy"], [1, 120], n_blocks=6),
+        SimulatorError,
+        "no cell of 1 attacher",
+    )
+    _no_children_left()
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        (dict(sizes=[5, 0]), ConfigInvalid, "sizes must be in [1, 2**64), got 0"),
+        (dict(sizes=[5], visibility_horizon=-0.5), ConfigInvalid, "visibility_horizon must be >= 0"),
+        # finite for the cell of 1 attacher, not for the cell of 10
+        (dict(sizes=[1, 10], visibility_horizon=1e308), ConfigInvalid, "visibility_horizon must be finite"),
+        (
+            dict(sizes=[5], strategies=["random", "psychic"]),
+            ValueError,
+            "unknown strategy 'psychic'; expected one of random, joint_cardinality, metropolis, greedy",
+        ),
+    ],
+    ids=["size_zero", "negative_horizon", "horizon_overflows_late", "unknown_strategy"],
+)
+def test_bad_table1_input_raises_before_any_fork(monkeypatch, kwargs, error, message):
+    def no_fork():
+        raise AssertionError("forked before every cell was checked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(harness, "_cell_workers", lambda: 2)
+    kwargs.setdefault("strategies", ["random", "greedy"])
+    raises_exactly(lambda: table1_experiment(n_blocks=4, **kwargs), error, message)
+    _no_children_left()
+
+
+def test_cells_reap_only_their_own_children(monkeypatch):
+    monkeypatch.setattr(harness, "_cell_workers", lambda: 2)
+    pid = os.fork()
+    if pid == 0:
+        os._exit(7)
+    try:
+        cells = table1_experiment(["random", "greedy"], [5, 40], n_blocks=4)
+    finally:
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 7
+    assert len(cells) == 4
+    _no_children_left()
+
+
+def test_a_live_thread_forces_serial_cells():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert harness._cell_workers() == 1
+    finally:
+        release.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_censorship_experiment_rows_sorted_and_monotone():
