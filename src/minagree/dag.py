@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain, compress, count
+from itertools import chain
 
 from .errors import (
     CycleViolation,
@@ -217,13 +217,10 @@ class Dag:
         for hashes no active vertex lists.
 
         A run that is a whole listing in its listed order is found with
-        one tuple comparison and has ``whole`` set.  An unlisted run ends
-        at the first listed hash after its start, found by one scan of
-        index lookups mapped in C over an iterator set to start there;
-        any other run is walked hash by hash.
+        one tuple comparison and has ``whole`` set; any other run is
+        walked hash by hash.
         """
-        index = self._listing
-        get, listed = index.get, index.__contains__
+        get = self._listing.get
         runs = []
         start, n = 0, len(tx_hashes)
         while start < n:
@@ -232,13 +229,8 @@ class Dag:
             whole = end > start and tx_hashes[start:end] == listing.hashes
             if not whole:
                 end = start + 1
-                if listing is _UNLISTED and end < n:
-                    rest = iter(tx_hashes)
-                    rest.__setstate__(end)  # starts at end, stepping over nothing
-                    end = next(compress(count(end), map(listed, rest)), n)
-                else:
-                    while end < n and get(tx_hashes[end], _UNLISTED) is listing:
-                        end += 1
+                while end < n and get(tx_hashes[end], _UNLISTED) is listing:
+                    end += 1
             runs.append((listing, start, end, whole))
             start = end
         return runs

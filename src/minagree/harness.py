@@ -4,8 +4,8 @@ One simulation executes a fixed number of block rounds on a single
 logical timeline.  After the beacon advance and role draw, each round
 runs five phases: inject (mempool), attach (one vertex per attacher),
 propose (the top-ranked proposer's body, notarization, finality two
-rounds back), settle (fees, then pruning) and requeue (carry-over, then
-the retirement of dropped transactions that can no longer settle).
+rounds back), settle (fees, then pruning) and requeue (the carry-over,
+retiring the dropped transactions among it that can no longer settle).
 Attach takes one ``Dag.pending`` snapshot of the mempool and cuts every
 attacher's payload from its runs of equally listed hashes; the runs
 stay exact because only vertices built from that snapshot attach until
@@ -17,10 +17,10 @@ The block's content is recorded once, in the winning proposal's body:
 settle reads its transaction list and tip set, requeue its carry-over.
 A transaction is its 32-byte hash: the run keeps the fee of each hash
 that can still settle, and the mempool maps each queued hash to its
-requeue count, so queued ⊆ unsettled.  Requeue drops a hash from the
-mempool but keeps its fee and adds it to the ``dropped`` set, which
-retirement empties of the hashes that settled or that no active vertex
-lists; after each round ``dropped`` is exactly unsettled minus queued.
+requeue count, so queued ⊆ unsettled; a counter adds up the settled
+ones.  Requeue drops a hash from the mempool but keeps its fee while an
+active vertex lists it, and forgets the fee of each carried hash that is
+neither queued nor listed any more.
 The chain keeps a block until it is final, and then only the hash of
 the newest final block.
 Everything derives from the configured seed and no wall clock or OS
@@ -261,12 +261,10 @@ class _Run:
         self.seed = ZERO_HASH
         self.prev_hash = ZERO_HASH
         # queued ⊆ unsettled: a dropped tx keeps its fee while an active
-        # vertex lists it, since a sibling copy may still settle it; after
-        # each round, dropped is exactly unsettled minus queued
+        # vertex lists it, since a sibling copy may still settle it
         self.fees: dict[bytes, int] = {}  # unsettled tx -> fee
         self.mempool: dict[bytes, int] = {}  # queued tx -> times requeued
-        self.dropped: set[bytes] = set()  # unsettled txs no longer queued
-        self.retired = 0  # dropped txs that can no longer settle
+        self.settled = 0  # txs whose fee a block collected
         # publicly unreferenced vertices, active or already settled
         self.frontier = {self.dag.genesis_id}
         self.arrivals: dict[int, list[tuple[bytes, tuple[bytes, ...]]]] = {}
@@ -285,7 +283,6 @@ class _Run:
         body = block.proposal.body
         fees = self.settle(body)
         self.requeue(body)
-        self.retire()
         self.rows.append(
             RoundRecord(
                 round=r,
@@ -376,38 +373,34 @@ class _Run:
                 continue  # an earlier block settled a sibling copy
             mempool.pop(txh, None)
             total += fee
+            self.settled += 1
         self.dag.prune_finalized(body.tip_set)
         return total
 
     def requeue(self, body: ProposalBody) -> None:
-        limit, mempool = self.config.carryover_retry_limit, self.mempool
+        """Requeue the carry-over, dropping a hash requeued more than the
+        retry limit allows, and forget the fee of every carried hash that
+        is not queued and that no active vertex lists: attachers list only
+        queued hashes, so it can never settle.
+
+        Only :meth:`Dag.prune_finalized` unlists a hash, and settle prunes
+        the cover whose order the body split into ``tx_list`` and
+        ``carried_over``, so a dropped hash that loses its last lister
+        either settles in this block or is carried over by it.
+        """
+        limit, mempool, fees = self.config.carryover_retry_limit, self.mempool, self.fees
+        listed = self.dag.is_listed
         for txh in body.carried_over:
             attempts = mempool.get(txh)
-            if attempts is None:
-                continue  # settled or dropped
-            attempts += 1
-            if limit is not None and attempts > limit:
+            if attempts is not None:
+                attempts += 1
+                if limit is None or attempts <= limit:
+                    mempool[txh] = attempts  # stays queued for new vertices
+                    continue
                 del mempool[txh]
-                self.dropped.add(txh)
-            else:
-                mempool[txh] = attempts  # stays queued for new vertices
-
-    def retire(self) -> None:
-        """Forget the fee of every dropped transaction that no active vertex
-        lists: attachers list only queued hashes, so it can never settle.
-        Afterwards ``dropped`` holds only the dropped transactions that a
-        listing vertex may still settle."""
-        fees, listed = self.fees, self.dag.is_listed
-        keep = set()
-        for txh in self.dropped:
-            if txh not in fees:
-                continue  # a sibling copy settled it
-            if listed(txh):
-                keep.add(txh)
-            else:
+            # dropped now or earlier, unless a sibling copy settled it
+            if txh in fees and not listed(txh):
                 del fees[txh]
-                self.retired += 1
-        self.dropped = keep
 
     def report(self) -> SimulationReport:
         ledger = distribute_rewards(self.history, self.config.reward_policy)
@@ -419,8 +412,8 @@ class _Run:
             "finalized_height": self.chain.finalized_height,
             "total_fees_collected": sum(row.fees for row in self.rows),
             "total_txs_injected": injected,
-            "total_txs_settled": injected - len(self.fees) - self.retired,
-            "total_txs_dropped": len(self.fees) - len(self.mempool) + self.retired,
+            "total_txs_settled": self.settled,
+            "total_txs_dropped": injected - self.settled - len(self.mempool),
             "mempool_remaining": len(self.mempool),
             "active_vertices": self.dag.active_count,
             "balances": {node: bal for node, bal in sorted(ledger.balances.items()) if bal},

@@ -97,26 +97,6 @@ def test_attach_duplicate_coverage():
         dag.attach(dup)
 
 
-@pytest.mark.parametrize("case", ["listed_twice", "covered_by_parent"])
-def test_rejected_vertex_leaves_the_dag_unchanged(case):
-    t1, t2 = h32("t1"), h32("t2")
-    dag = Dag()
-    g = dag.genesis_id
-    a = make_vertex((g, g), "alice", 1, (t1,))
-    dag.attach(a)
-    tips, active = set(dag.tip_set), dag.active_count
-    listed = (t2, h32("t3"), t2) if case == "listed_twice" else (t2, t1)
-    bad = make_vertex((a.vertex_id, a.vertex_id), "bob", 2, listed)
-    with pytest.raises(DuplicateCoverage):
-        dag.attach(bad)
-    assert dag.tip_set == tips
-    assert dag.active_count == active
-    assert bad.vertex_id not in dag.vertices
-    with pytest.raises(UnknownTransaction):
-        dag.listing_mask(t2)
-    assert dag.listing_mask(t1) == dag.own_bit(a.vertex_id)
-
-
 def test_sibling_branches_may_repeat_a_transaction():
     t1 = h32("t1")
     dag = Dag()
@@ -152,7 +132,8 @@ def _attach_leaves_dag_unchanged(listed):
     """Attach a vertex listing ``listed`` to alice (who lists T1) and to
     the genesis, beside bob (who lists T2); the attach must fail and
     leave ``listing_mask``, ``pending``, the tips, the active count and
-    the vertices as before."""
+    the vertices as before, ``listing_mask`` raising
+    :class:`UnknownTransaction` for each hash still unlisted."""
     dag = Dag()
     g = dag.genesis_id
     alice = make_vertex((g, g), "alice", 1, (T1,))
@@ -168,6 +149,10 @@ def _attach_leaves_dag_unchanged(listed):
         dag.attach(make_vertex((alice.vertex_id, g), "carol", 2, listed))
     finally:
         assert answers() == before
+        for t in LISTED:
+            if not dag.is_listed(t):
+                with pytest.raises(UnknownTransaction):
+                    dag.listing_mask(t)
 
 
 @pytest.mark.parametrize(
@@ -217,6 +202,12 @@ def _attach_leaves_dag_unchanged(listed):
             DuplicateCoverage,
             f"transaction {T2.hex()} listed twice",
         ),
+        # a list of unlisted hashes only, one run, that repeats one
+        (
+            lambda: _attach_leaves_dag_unchanged((T5, T6, T5)),
+            DuplicateCoverage,
+            f"transaction {T5.hex()} listed twice",
+        ),
         # a repeat outranks a covered hash listed before it, and the first
         # repeat is named, not the first hash that repeats
         (
@@ -229,7 +220,7 @@ def _attach_leaves_dag_unchanged(listed):
         "parent_count", "negative_round", "short_parent", "short_tx_hash", "reattach", "zero_parents",
         "discard_stale_tips",
         "covered", "covered_whole_listing", "covered_second_whole_listing", "whole_listing_twice",
-        "listed_twice", "covered_and_listed_twice",
+        "listed_twice", "unlisted_listed_twice", "covered_and_listed_twice",
     ],
 )
 def test_dag_validation_errors(call, error, message):
