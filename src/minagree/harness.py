@@ -68,9 +68,9 @@ from .dag import (
 from .errors import ConfigInvalid
 from .incentives import (
     RewardPolicy,
+    RewardWindow,
     RoundEconomics,
     censorship_cost,
-    distribute_rewards,
 )
 from .rounds import (
     ZERO_HASH,
@@ -269,7 +269,7 @@ class _Run:
         self.frontier = {self.dag.genesis_id}
         self.arrivals: dict[int, list[tuple[bytes, tuple[bytes, ...]]]] = {}
         self.rows: list[RoundRecord] = []
-        self.history: list[RoundEconomics] = []
+        self.rewards = RewardWindow(config.reward_policy)  # the ledger so far and the window's producer pots
         self.horizon = max(1, round(config.visibility_horizon * config.n_attachers))
 
     def round(self, r: int) -> None:
@@ -292,7 +292,7 @@ class _Run:
                 carried_over=len(body.carried_over),
             )
         )
-        self.history.append(
+        self.rewards.add(
             RoundEconomics(
                 round=r,
                 fees=fees,
@@ -403,7 +403,7 @@ class _Run:
                 del fees[txh]
 
     def report(self) -> SimulationReport:
-        ledger = distribute_rewards(self.history, self.config.reward_policy)
+        ledger = self.rewards.close()
         sizes = [row.proposal_size for row in self.rows]
         injected = self.config.mempool_rate * len(self.rows)
         aggregates = {

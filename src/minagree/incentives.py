@@ -1,18 +1,19 @@
 """Reward, pricing and censorship-cost computations.
 
 Token amounts are exact integers in the smallest unit; coverage ratios
-and shares are exact rationals.  A run's rewards are distributed once,
-over its whole history, into a fresh ledger; every payout rounds down
-and the remainder is accounted for explicitly, so the ledger conserves
-value bit-exactly over arbitrarily long runs.  The censorship price of
-one transaction is the reward gap to honest maximal coverage for a
-round of given vertex count and fees, reported together with the
-censoring proposal's hard-constraint feasibility.
+and shares are exact rationals.  A run's rewards are credited round by
+round into one ledger; every payout rounds down and the remainder is
+accounted for explicitly, so the ledger conserves value bit-exactly
+over arbitrarily long runs.  The censorship price of one transaction
+is the reward gap to honest maximal coverage for a round of given
+vertex count and fees, reported together with the censoring
+proposal's hard-constraint feasibility.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -141,70 +142,69 @@ def proposer_reward(round_fees: int, base_reward: int, delta, policy: RewardPoli
     return (1 - policy.non_producer_share) * pot * delta
 
 
-def distribute_rewards(history, policy: RewardPolicy) -> LedgerAccounts:
-    """A fresh ledger crediting a full run's rewards, conserving exactly.
+class RewardWindow:
+    """A run's reward ledger, credited as each round ends.
 
-    Per round: the shared slice of the pot is split equally among that
-    round's attachers (and committee, when configured); the producer side
-    is scaled by the round's coverage ratio and then averaged over the
-    trailing ``decouple_window`` rounds before accrual.  Window slices
-    that would fall past the end of the run are settled back to the round
-    that earned them, and all rounding remainders stay in the ledger's
-    residual, so credits plus residual equal collected value exactly.
+    :meth:`add` splits the shared slice of a round's pot equally among its
+    attachers (and committee, when configured) and pays the producer the
+    mean of the last ``decouple_window`` coverage-scaled producer pots,
+    the only pots kept.  :meth:`close` pays the slices that later rounds
+    would have drawn back to the producers who earned them.  Payouts round
+    down, and every remainder stays in the ledger's residual.
     """
-    ledger = LedgerAccounts()
-    rows = sorted(history, key=lambda row: row.round)
-    window = policy.decouple_window
-    producer_pots: list[Fraction] = []
-    producers: list[str] = []
-    carry = Fraction(0)
 
-    for row in rows:
+    def __init__(self, policy: RewardPolicy) -> None:
+        self.policy = policy
+        self.ledger = LedgerAccounts()
+        self.carry = Fraction(0)
+        self.pots: deque[tuple[Fraction, str]] = deque(maxlen=policy.decouple_window)  # (scaled pot, producer)
+
+    def _pay(self, producer: str, claim: Fraction) -> None:
+        payout, self.carry = divmod(claim + self.carry, 1)  # floor, and carry the rest
+        self.ledger.credit(producer, payout)
+
+    def add(self, row: RoundEconomics) -> None:
+        delta = _as_fraction(row.delta)
+        if not 0 <= delta <= 1:
+            raise InvalidCounts(f"delta out of range in round {row.round}")
+        policy, ledger = self.policy, self.ledger
         pot = row.fees + policy.base_block_reward
         ledger.collected += pot
 
         shared = policy.non_producer_share * pot
         committee_pool = shared * policy.committee_share
-        attacher_pool = shared - committee_pool
         paid_roles = 0
-        if row.attacher_ids and attacher_pool:
-            per_attacher = math.floor(attacher_pool / len(row.attacher_ids))
-            for node in row.attacher_ids:
-                ledger.credit(node, per_attacher)
-            paid_roles += per_attacher * len(row.attacher_ids)
-        if row.committee_ids and committee_pool:
-            per_member = math.floor(committee_pool / len(row.committee_ids))
-            for node in row.committee_ids:
-                ledger.credit(node, per_member)
-            paid_roles += per_member * len(row.committee_ids)
+        for ids, pool in ((row.attacher_ids, shared - committee_pool), (row.committee_ids, committee_pool)):
+            if ids and pool:
+                each = math.floor(pool / len(ids))
+                for node in ids:
+                    ledger.credit(node, each)
+                paid_roles += each * len(ids)
 
         producer_side = pot - paid_roles  # role rounding dust accrues to the producer
-        delta = _as_fraction(row.delta)
-        if not 0 <= delta <= 1:
-            raise InvalidCounts(f"delta out of range in round {row.round}")
         scaled = producer_side * delta
         ledger.residual += producer_side - scaled  # coverage penalty is withheld
-        producer_pots.append(scaled)
-        producers.append(row.producer_id)
+        self.pots.append((scaled, row.producer_id))
+        self._pay(row.producer_id, sum(held for held, _ in self.pots) / policy.decouple_window)
 
-        start = max(0, len(producer_pots) - window)
-        claim = sum(producer_pots[start:], Fraction(0)) / window + carry
-        payout = math.floor(claim)
-        carry = claim - payout
-        ledger.credit(row.producer_id, payout)
+    def close(self) -> LedgerAccounts:
+        window = self.policy.decouple_window
+        # the k-th of n pots, oldest first, has window - (n - k) slices unclaimed
+        for unclaimed_slices, (scaled, producer) in enumerate(self.pots, window - len(self.pots)):
+            if unclaimed_slices:
+                self._pay(producer, scaled * unclaimed_slices / window)
+        self.pots.clear()
+        self.ledger.residual += self.carry
+        self.carry = Fraction(0)
+        return self.ledger
 
-    # End-of-run settlement: slices that later rounds would have drawn
-    # return to the round that earned them.
-    n = len(producer_pots)
-    for j, pot_j in enumerate(producer_pots):
-        unclaimed_slices = window - min(window, n - j)
-        if unclaimed_slices:
-            claim = pot_j * unclaimed_slices / window + carry
-            payout = math.floor(claim)
-            carry = claim - payout
-            ledger.credit(producers[j], payout)
-    ledger.residual += carry
-    return ledger
+
+def distribute_rewards(history, policy: RewardPolicy) -> LedgerAccounts:
+    """A fresh ledger crediting a full run's rows, in round order, through one :class:`RewardWindow`."""
+    rewards = RewardWindow(policy)
+    for row in sorted(history, key=lambda row: row.round):
+        rewards.add(row)
+    return rewards.close()
 
 
 def kth_price_clearing(bids, capacity: int, reserve: int = 0):

@@ -6,7 +6,9 @@ are checked against genuinely separate implementations.
 """
 
 import hashlib
+import math
 import random
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -15,7 +17,7 @@ import pytest
 from minagree import harness
 from minagree.dag import _UNLISTED, Dag, make_vertex
 from minagree.errors import UnknownTransaction
-from minagree.incentives import check_hard_constraint, delta_score, proposer_reward
+from minagree.incentives import LedgerAccounts, check_hard_constraint, delta_score, proposer_reward
 from minagree.rounds import greedy_min_cover
 
 
@@ -224,6 +226,53 @@ def set_cover_censorship_cost(dag: Dag, target_tx, n_vertices, round_fees, polic
 
     cost = reward(n_honest) - reward(n_censor)
     return cost, check_hard_constraint(n_censor, n_vertices, policy.hard_alpha)
+
+
+def whole_history_rewards(rows, policy) -> LedgerAccounts:
+    """Rewards of a whole run, computed from every round's producer pot.
+
+    Each round pays its attachers and committee their equal floored
+    shares, withholds the coverage penalty and pays its producer the
+    mean of the trailing ``decouple_window`` scaled pots; after the last
+    round, pot ``j`` of ``n`` returns its ``window - min(window, n - j)``
+    unclaimed slices to its producer.  One carry runs through every
+    producer payout, and what is left of it ends in the residual.
+    """
+    ledger = LedgerAccounts()
+    window = policy.decouple_window
+    rows = sorted(rows, key=lambda row: row.round)
+    scaled = []
+    carry = Fraction(0)
+
+    def pay(producer, claim):
+        nonlocal carry
+        claim += carry
+        payout = math.floor(claim)
+        carry = claim - payout
+        ledger.credit(producer, payout)
+
+    for row in rows:
+        pot = row.fees + policy.base_block_reward
+        ledger.collected += pot
+        shared = policy.non_producer_share * pot
+        committee_pool = shared * policy.committee_share
+        paid = 0
+        for ids, pool in ((row.attacher_ids, shared - committee_pool), (row.committee_ids, committee_pool)):
+            if ids and pool:
+                each = math.floor(pool / len(ids))
+                for node in ids:
+                    ledger.credit(node, each)
+                paid += each * len(ids)
+        scaled.append((pot - paid) * row.delta)
+        ledger.residual += (pot - paid) - scaled[-1]
+        pay(row.producer_id, sum(scaled[-window:], Fraction(0)) / window)
+    n = len(rows)
+    for j, row in enumerate(rows):
+        unclaimed_slices = window - min(window, n - j)
+        if unclaimed_slices:
+            pay(row.producer_id, scaled[j] * unclaimed_slices / window)
+    ledger.residual += carry
+    return ledger
 
 
 def recording_proposal_body(bodies: list):

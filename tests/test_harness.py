@@ -212,9 +212,8 @@ def _traced_peak(n_blocks: int) -> int:
 
 def test_long_run_peak_memory_grows_little():
     # traced allocations do not depend on host load; what still grows with
-    # the run is the DAG's boundary markers, the frontier, the reward
-    # history and the rows
-    assert _traced_peak(400) - _traced_peak(100) <= 650_000
+    # the run is the DAG's boundary markers, the frontier and the rows
+    assert _traced_peak(400) - _traced_peak(100) <= 400_000
 
 
 def test_block_cap_carries_and_requeues(monkeypatch):

@@ -1,5 +1,6 @@
 """Reward arithmetic, auctions, collusion and censorship pricing."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -8,13 +9,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bfs_censoring_pool, bfs_cover, grow_random_dag, h32, raises_exactly, set_cover_censorship_cost
+from helpers import (
+    bfs_censoring_pool,
+    bfs_cover,
+    grow_random_dag,
+    h32,
+    raises_exactly,
+    set_cover_censorship_cost,
+    whole_history_rewards,
+)
 from minagree import harness
 from minagree.attachment import AttachmentStrategy
 from minagree.dag import Dag, make_vertex
 from minagree.errors import InvalidCounts, InvalidFraction, UnknownTransaction
 from minagree.incentives import (
     RewardPolicy,
+    RewardWindow,
     RoundEconomics,
     censorship_cost,
     check_hard_constraint,
@@ -125,6 +135,11 @@ def test_window_two_averages_trailing_pots():
     ledger = distribute_rewards(_history([100, 0]), policy)
     assert ledger.balances == {"p0": 50, "p1": 50}
     assert ledger.conserves()
+    # a window longer than the run: p0 claims 100/4 and p1 160/4, then
+    # pot 0 returns 2 of its 4 slices and pot 1 returns 3
+    ledger = distribute_rewards(_history([100, 60]), RewardPolicy(decouple_window=4))
+    assert ledger.balances == {"p0": 75, "p1": 85}
+    assert ledger.conserves()
 
 
 def test_distribution_conserves_exactly_across_windows():
@@ -141,6 +156,50 @@ def test_distribution_conserves_exactly_across_windows():
         assert distribute_rewards(_history(pots, producers), policy) == ledger
         assert ledger.conserves()
         assert ledger.collected == ledger.total_credited() + ledger.residual == sum(pots)
+
+
+@st.composite
+def reward_runs(draw):
+    """A policy and a run of rows in round order; windows up to 12 are
+    often longer than the run, and role sets may be empty."""
+    policy = RewardPolicy(
+        base_block_reward=draw(st.integers(0, 50)),
+        non_producer_share=Fraction(draw(st.integers(0, 6)), 6),
+        committee_share=Fraction(draw(st.integers(0, 3)), 3),
+        decouple_window=draw(st.integers(1, 12)),
+    )
+    nodes = st.sampled_from(["n0", "n1", "n2", "n3"])
+    rows = []
+    for r in range(draw(st.integers(0, 16))):
+        denominator = draw(st.integers(1, 7))
+        rows.append(
+            RoundEconomics(
+                round=r,
+                fees=draw(st.integers(0, 500)),
+                producer_id=draw(nodes),
+                attacher_ids=tuple(draw(st.lists(nodes, max_size=3))),
+                committee_ids=tuple(draw(st.lists(nodes, max_size=2))),
+                delta=Fraction(draw(st.integers(0, denominator)), denominator),
+            )
+        )
+    return policy, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(run=reward_runs(), data=st.data())
+def test_reward_window_folds_the_whole_history(run, data):
+    policy, rows = run
+    rewards = RewardWindow(policy)
+    for row in rows:
+        rewards.add(row)
+        assert len(rewards.pots) <= policy.decouple_window
+    ledger = rewards.close()
+    shuffled = data.draw(st.permutations(rows))
+    assert ledger == distribute_rewards(shuffled, policy) == whole_history_rewards(rows, policy)
+    assert ledger.conserves()
+    assert ledger.collected == sum(row.fees + policy.base_block_reward for row in rows)
+    closed = copy.deepcopy(ledger)
+    assert rewards.close() == closed  # a second close credits nothing
 
 
 def test_distribution_with_full_delta_pays_out_everything():
