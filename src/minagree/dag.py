@@ -54,6 +54,29 @@ def _be4(value: int) -> bytes:
     return value.to_bytes(4, "big")
 
 
+def _joined(tx_hashes) -> bytes:
+    """The transaction list's encoding, after checking every entry is a hash."""
+    for h in tx_hashes:
+        if len(h) != HASH_BYTES:
+            raise ValueError("transaction references must be 32-byte hashes")
+    return b"".join(tx_hashes)
+
+
+class _Payload(tuple):
+    """A transaction list checked and encoded once, in ``joined``.
+
+    :meth:`Dag.uncovered_hashes` builds one per selection of a snapshot's
+    runs, so attachers that take the same runs share the object, and
+    :class:`Vertex` reads its ``joined`` instead of checking and joining
+    the hashes again.  It equals, hashes and prints as the plain tuple.
+    """
+
+    def __new__(cls, tx_hashes):
+        self = super().__new__(cls, tx_hashes)
+        self.joined = _joined(self)
+        return self
+
+
 @dataclass(frozen=True)
 class Vertex:
     """An append-only DAG node carrying uncovered transaction hashes.
@@ -61,6 +84,11 @@ class Vertex:
     The identity is the hash of the canonical encoding (parents in
     ascending order, round, attacher, transaction list), so two vertices
     with identical content share an id regardless of construction order.
+
+    Attachers that take the same runs of a round's snapshot share one
+    checked payload, a private tuple that carries its encoding: such a
+    list is neither checked nor joined again, and any other list is
+    checked hash by hash.
     """
 
     parents: tuple[bytes, ...]
@@ -77,23 +105,25 @@ class Vertex:
         for h in self.parents:
             if len(h) != HASH_BYTES:
                 raise ValueError("parent references must be 32-byte hashes")
-        for h in self.tx_hashes:
-            if len(h) != HASH_BYTES:
-                raise ValueError("transaction references must be 32-byte hashes")
-        object.__setattr__(self, "vertex_id", self._content_hash())
+        tx_hashes = self.tx_hashes
+        joined = tx_hashes.joined if type(tx_hashes) is _Payload else _joined(tx_hashes)
+        object.__setattr__(self, "vertex_id", self._content_hash(joined))
 
-    def _content_hash(self) -> bytes:
+    def _content_hash(self, joined: bytes) -> bytes:
         attacher = self.attacher_id.encode("utf-8")
-        return _sha256(
-            b"vertex",
-            bytes([len(self.parents)]),
-            *sorted(self.parents),
-            _be8(self.round),
-            _be4(len(attacher)),
-            attacher,
-            _be4(len(self.tx_hashes)),
-            b"".join(self.tx_hashes),
+        state = hashlib.sha256(
+            b"".join((
+                b"vertex",
+                bytes([len(self.parents)]),
+                *sorted(self.parents),
+                _be8(self.round),
+                _be4(len(attacher)),
+                attacher,
+                _be4(len(self.tx_hashes)),
+            ))
         )
+        state.update(joined)  # the payload is not copied again
+        return state.digest()
 
 
 def make_vertex(
@@ -102,12 +132,13 @@ def make_vertex(
     round_no: int,
     tx_hashes: tuple[bytes, ...] = (),
 ) -> Vertex:
-    """Build a vertex with canonical parent order."""
+    """Build a vertex with canonical parent order; a tuple list, such as
+    a shared payload, is kept as it is."""
     return Vertex(
         parents=tuple(sorted(parents)),
         attacher_id=attacher_id,
         round=round_no,
-        tx_hashes=tuple(tx_hashes),
+        tx_hashes=tx_hashes if isinstance(tx_hashes, tuple) else tuple(tx_hashes),
     )
 
 
@@ -144,10 +175,17 @@ class Pending:
     A vertex built from the snapshot lists whole runs, so attaching it
     adds its bit to every entry of a run or to none and each run stays
     uniform; a vertex listing part of a run would split it.
+
+    ``_payloads`` memoizes :meth:`Dag.uncovered_hashes` by the runs a
+    cover misses, so attachers that take the same runs share one checked
+    payload; it is left out of equality and of the repr.
     """
 
     hashes: tuple[bytes, ...]
     runs: tuple[tuple[int, int], ...]
+    _payloads: dict[tuple[tuple[int, int], ...], _Payload] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.hashes)
@@ -327,14 +365,20 @@ class Dag:
         must still be uniform: each vertex attached since :meth:`pending`
         built it lists every hash of a run or none, as a vertex built
         from the same snapshot does.
+
+        The result depends only on which runs the region misses, so the
+        snapshot keeps one checked payload per selection of runs: the
+        attachers that take the same runs share it.
         """
         get = self._listing.get
         hashes = pending.hashes
-        out: list[bytes] = []
-        for start, end in pending.runs:
-            if not get(hashes[start], _UNLISTED).mask & cover_mask:
-                out += hashes[start:end]
-        return tuple(out)
+        taken = tuple([run for run in pending.runs if not get(hashes[run[0]], _UNLISTED).mask & cover_mask])
+        payload = pending._payloads.get(taken)
+        if payload is None:
+            payload = pending._payloads[taken] = _Payload(
+                chain.from_iterable(hashes[start:end] for start, end in taken)
+            )
+        return payload
 
     def own_bit(self, vertex_id: bytes) -> int | None:
         """Single-bit mask for one active vertex, or None if not active.
@@ -476,14 +520,16 @@ class Dag:
             pending[vid] = count
             if count == 0:
                 heappush(ready, vid)
-        # each distinct list once, in heap order; a list equal to one
-        # already taken adds nothing
-        lists: dict[tuple[bytes, ...], None] = {}
+        # each list object once, in heap order: attachers that took the
+        # same runs share one; a list equal to an earlier one adds only
+        # hashes that the final dedupe drops
+        lists: dict[int, tuple[bytes, ...]] = {}
         while ready:
             vid = heappop(ready)
-            lists[self.vertices[vid].tx_hashes] = None
+            tx_hashes = self.vertices[vid].tx_hashes
+            lists[id(tx_hashes)] = tx_hashes
             for child in dependants.get(vid, ()):
                 pending[child] -= 1
                 if pending[child] == 0:
                     heappush(ready, child)
-        return list(dict.fromkeys(chain.from_iterable(lists)))
+        return list(dict.fromkeys(chain.from_iterable(lists.values())))

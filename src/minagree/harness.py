@@ -309,8 +309,13 @@ class _Run:
         """Queue the round's transactions: the n-th injected one has the
         id ``_sha256(b"tx", seed, _be8(n))``, counting from 1."""
         rate = self.config.mempool_rate
-        sha256, prefix, first = hashlib.sha256, b"tx" + self.seed, r * rate + 1
-        ids = [sha256(prefix + n.to_bytes(8, "big")).digest() for n in range(first, first + rate)]
+        first = r * rate + 1
+        prefix = hashlib.sha256(b"tx" + self.seed)  # copied per id, not rebuilt
+        ids = []
+        for n in range(first, first + rate):
+            state = prefix.copy()
+            state.update(n.to_bytes(8, "big"))
+            ids.append(state.digest())
         self.fees.update(zip(ids, _geometric_fees(self.rng, rate)))
         self.mempool.update(dict.fromkeys(ids, 0))
 

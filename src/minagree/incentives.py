@@ -13,6 +13,7 @@ proposal's hard-constraint feasibility.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -157,7 +158,11 @@ class RewardWindow:
         self.policy = policy
         self.ledger = LedgerAccounts()
         self.carry = Fraction(0)
-        self.pots: deque[tuple[Fraction, str]] = deque(maxlen=policy.decouple_window)  # (scaled pot, producer)
+        # a deque never holds more than sys.maxsize items, and its maxlen
+        # must fit a C ssize_t, so a larger window keeps every pot all the same
+        self.pots: deque[tuple[Fraction, str]] = deque(
+            maxlen=min(policy.decouple_window, sys.maxsize)
+        )  # (scaled pot, producer)
 
     def _pay(self, producer: str, claim: Fraction) -> None:
         payout, self.carry = divmod(claim + self.carry, 1)  # floor, and carry the rest

@@ -106,10 +106,13 @@ def draw_roles(
             f"committee of {committee_size} requested from {len(registry)} stakers"
         )
 
+    names = [node.encode("utf-8") for node in registry]  # encoded once for the three roles
+
     def ranked(domain: bytes) -> list[str]:
         # each identity's key is _sha256(seed, domain, name), in one call
         prefix = seed + domain
-        return sorted(registry, key=lambda node: hashlib.sha256(prefix + node.encode("utf-8")).digest())
+        keys = [hashlib.sha256(prefix + name).digest() for name in names]
+        return [registry[k] for k in sorted(range(len(registry)), key=keys.__getitem__)]
 
     ranking = tuple(ranked(b"propose"))
     attachers = tuple(ranked(b"attach")[:n_attachers])

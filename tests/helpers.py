@@ -52,6 +52,14 @@ def bfs_cover(dag: Dag, roots) -> set:
     return seen
 
 
+def bfs_payload(dag: Dag, mempool, parents) -> tuple:
+    """The hashes of ``mempool`` that no vertex in the BFS cover of
+    ``parents`` lists, checked one hash at a time against the vertex
+    records."""
+    covered = {txh for vid in bfs_cover(dag, parents) for txh in dag.vertices[vid].tx_hashes}
+    return tuple(txh for txh in mempool if txh not in covered)
+
+
 def in_degree_zero(dag: Dag) -> set:
     """Brute-force tip computation over the active vertex records."""
     referenced = set()

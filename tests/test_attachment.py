@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_runs_maximal_and_uniform, bfs_cover, brute_force_best_pair, grow_random_dag, h32
+from helpers import (
+    assert_runs_maximal_and_uniform,
+    bfs_cover,
+    bfs_payload,
+    brute_force_best_pair,
+    grow_random_dag,
+    h32,
+)
 from minagree.attachment import AttachmentStrategy, PoolView, RoundPool, _random_pair, build_vertex, select_parents
 from minagree.dag import Dag, make_vertex
 from minagree.errors import EmptyDag, UnknownParent, UnknownVertex
@@ -358,22 +365,20 @@ def _random_dag_and_mempool(rng, trial):
     return dag, ids, mempool
 
 
-def _bfs_payload(dag, mempool, parents):
-    covered = {txh for vid in bfs_cover(dag, parents) for txh in dag.vertices[vid].tx_hashes}
-    return tuple(txh for txh in mempool if txh not in covered)
-
-
 def test_build_vertex_payload_matches_bfs_filter_on_random_dags():
     rng = random.Random(71)
     for trial in range(40):
         dag, ids, mempool = _random_dag_and_mempool(rng, trial)
         parents = (rng.choice(ids), rng.choice(ids))
         vertex = build_vertex(dag, "alice", dag.pending(mempool), parents, len(ids))
-        assert vertex.tx_hashes == _bfs_payload(dag, mempool, parents)
+        assert vertex.tx_hashes == bfs_payload(dag, mempool, parents)
         dag.attach(vertex)
 
 
 def test_attachers_sharing_one_pending_match_bfs_filter_on_random_dags():
+    # within one snapshot, distinct selections of its runs list distinct
+    # hashes, so equal payloads must be one shared object; a snapshot of
+    # its own builds payloads of its own
     rng = random.Random(72)
     for trial in range(40):
         dag, ids, mempool = _random_dag_and_mempool(rng, trial)
@@ -381,13 +386,37 @@ def test_attachers_sharing_one_pending_match_bfs_filter_on_random_dags():
         assert pending.hashes == tuple(mempool)
         # active vertices, boundary markers, then this snapshot's own attachers
         pool = list(ids)
+        shared: dict[tuple, tuple] = {}
         for k in range(8):
             assert_runs_maximal_and_uniform(dag, pending)
             parents = (rng.choice(pool), rng.choice(pool))
             vertex = build_vertex(dag, f"attacher-{k}", pending, parents, len(ids))
-            assert vertex.tx_hashes == _bfs_payload(dag, mempool, parents)
+            assert vertex.tx_hashes == bfs_payload(dag, mempool, parents)
+            assert shared.setdefault(vertex.tx_hashes, vertex.tx_hashes) is vertex.tx_hashes
+            fresh = build_vertex(dag, f"attacher-{k}", dag.pending(mempool), parents, len(ids))
+            assert fresh == vertex and fresh.tx_hashes is not vertex.tx_hashes
             pool.append(dag.attach(vertex))
         assert_runs_maximal_and_uniform(dag, pending)
+
+
+def test_attachers_taking_the_same_runs_share_one_checked_payload():
+    t1, t2, t3 = h32("t1"), h32("t2"), h32("t3")
+    dag = Dag()
+    g = dag.genesis_id
+    holder = dag.attach(make_vertex((g, g), "bob", 1, (t1,)))
+    pending = dag.pending([t1, t2, t3])
+    alice = build_vertex(dag, "alice", pending, (g, g), 2)
+    carol = build_vertex(dag, "carol", pending, (g, g), 2)
+    dave = build_vertex(dag, "dave", pending, (holder, g), 2)
+    assert alice.tx_hashes is carol.tx_hashes
+    assert alice.tx_hashes == (t1, t2, t3) and dave.tx_hashes == (t2, t3)
+    for vertex in (alice, carol, dave):
+        # a plain tuple copy of the payload is checked and joined anew
+        copy = make_vertex(vertex.parents, vertex.attacher_id, vertex.round, tuple(list(vertex.tx_hashes)))
+        assert type(copy.tx_hashes) is tuple and copy.tx_hashes is not vertex.tx_hashes
+        assert copy.vertex_id == vertex.vertex_id and copy == vertex
+    with pytest.raises(ValueError, match="^transaction references must be 32-byte hashes$"):
+        make_vertex((g, g), "erin", 2, (t2, t3[:31]))
 
 
 def test_build_vertex_unknown_parent():

@@ -1,6 +1,7 @@
 """Command-line surface: flags, config files, emitters, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -506,6 +507,23 @@ def test_largest_seed_runs(capsys, command):
     code, out, err = run(capsys, *SEED_ARGV[command](2**64 - 1))
     assert (code, err) == (0, "")
     assert out
+
+
+@pytest.mark.parametrize(
+    "window, digest",
+    [
+        (2**63, "d98f4845adc3eec262588da3e0139d6c6b51742b2dbdb446afef583577fab18f"),
+        (10**23, "186bfb271a311309414d71975652e70ac76d380df7a55b5dd13dca7b8915f0b4"),
+    ],
+    ids=["2**63", "10**23"],
+)
+def test_reward_window_past_ssize_t_runs(capsys, window, digest):
+    # a window too large for a deque's maxlen keeps every pot, as a list of
+    # all the producer pots did; the digests are of reports made that way
+    code, out, err = run(capsys, "simulate", "--set", "n_blocks=3", "--set", f"decouple_window={window}",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table1_rejects_empty_sizes(capsys):

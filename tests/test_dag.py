@@ -1,6 +1,7 @@
 """DAG structure: attachment rules, tips, cover sets, pruning, ordering."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import settings
@@ -10,6 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from helpers import (
     assert_runs_maximal_and_uniform,
     bfs_cover,
+    bfs_payload,
     grow_random_dag,
     h32,
     in_degree_zero,
@@ -166,6 +168,17 @@ def _attach_leaves_dag_unchanged(listed):
             ValueError,
             "transaction references must be 32-byte hashes",
         ),
+        # a plain tuple is checked hash by hash; a snapshot's payload once
+        (
+            lambda: make_vertex((GENESIS_ID, GENESIS_ID), "a", 1, (T1, T2[:31])),
+            ValueError,
+            "transaction references must be 32-byte hashes",
+        ),
+        (
+            lambda: Dag().uncovered_hashes(Dag().pending((T1, T2[:31])), 0),
+            ValueError,
+            "transaction references must be 32-byte hashes",
+        ),
         (lambda: _dag_with(ALICE).attach(ALICE), ValueError, f"vertex {ALICE.vertex_id.hex()} already attached"),
         (lambda: Dag().attach(Vertex((), "a", 0, ())), UnknownParent, "only the genesis vertex may have zero parents"),
         (
@@ -217,7 +230,8 @@ def _attach_leaves_dag_unchanged(listed):
         ),
     ],
     ids=[
-        "parent_count", "negative_round", "short_parent", "short_tx_hash", "reattach", "zero_parents",
+        "parent_count", "negative_round", "short_parent", "short_tx_hash", "31_byte_tx_hash",
+        "31_byte_payload_hash", "reattach", "zero_parents",
         "discard_stale_tips",
         "covered", "covered_whole_listing", "covered_second_whole_listing", "whole_listing_twice",
         "listed_twice", "unlisted_listed_twice", "covered_and_listed_twice",
@@ -225,6 +239,40 @@ def _attach_leaves_dag_unchanged(listed):
 )
 def test_dag_validation_errors(call, error, message):
     raises_exactly(call, error, message)
+
+
+def test_uncovered_hashes_shares_one_payload_per_run_selection():
+    # alice, bob and carol each list one hash of the snapshot, so each of
+    # its three runs is taken or not on its own and a memo key that
+    # ignored any one run would hand two selections one payload
+    dag = Dag()
+    g = dag.genesis_id
+    listers = [
+        dag.attach(make_vertex((g, g), name, 1, (txh,))) for name, txh in zip(("alice", "bob", "carol"), LISTED)
+    ]
+    mempool = LISTED[:3]
+    pending = dag.pending(mempool)
+    assert len(pending.runs) == 3
+    payloads = {}
+    for k in range(4):
+        for roots in combinations(listers, k):
+            payload = dag.uncovered_hashes(pending, dag.cover_mask(roots))
+            assert payload == bfs_payload(dag, mempool, roots)
+            assert dag.uncovered_hashes(pending, dag.cover_mask(roots)) is payload
+            payloads[roots] = payload
+    assert len({id(payload) for payload in payloads.values()}) == 8
+    fresh = dag.pending(mempool)
+    for roots, payload in payloads.items():
+        again = dag.uncovered_hashes(fresh, dag.cover_mask(roots))
+        assert again == payload and again is not payload
+
+
+def test_pending_equality_ignores_its_payloads():
+    dag = Dag()
+    used, fresh = dag.pending(LISTED), dag.pending(LISTED)
+    assert dag.uncovered_hashes(used, 0) == LISTED
+    assert used._payloads and not fresh._payloads
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
 
 def test_prune_finalized_full_cover():
@@ -374,8 +422,9 @@ def test_ordered_transactions_is_permutation_and_repeatable():
 
 def test_ordered_transactions_matches_reference_order():
     # siblings re-list hashes that their parents' covers miss: fresh
-    # picks, exact copies and permuted copies of another vertex's list;
-    # some DAGs are pruned, some down to their boundary markers
+    # picks, another vertex's list object itself, exact copies and
+    # permuted copies of it; some DAGs are pruned, some down to their
+    # boundary markers
     rng = random.Random(13)
     pool = [h32(f"order-tx-{k}") for k in range(10)]
     for _ in range(80):
@@ -387,15 +436,18 @@ def test_ordered_transactions_matches_reference_order():
             parents = (rng.choice(known), rng.choice(known))
             covered = {txh for vid in bfs_cover(dag, parents) for txh in dag.vertices[vid].tx_hashes}
             lists = [v.tx_hashes for v in dag.vertices.values() if v.tx_hashes and covered.isdisjoint(v.tx_hashes)]
-            how = rng.choice(["fresh", "copy", "permuted"])
+            how = rng.choice(["fresh", "shared", "copy", "permuted"])
             if how == "fresh" or not lists:
                 free = [txh for txh in pool if txh not in covered]
-                txs = rng.sample(free, min(len(free), rng.randrange(4)))
+                txs = tuple(rng.sample(free, min(len(free), rng.randrange(4))))
+            elif how == "shared":
+                txs = rng.choice(lists)
             else:
                 txs = list(rng.choice(lists))
                 if how == "permuted":
                     rng.shuffle(txs)
-            dag.attach(make_vertex(parents, f"v{k}", k + 1, tuple(txs)))
+                txs = tuple(txs)
+            dag.attach(make_vertex(parents, f"v{k}", k + 1, txs))
             active = sorted(dag.vertices)
             roots = rng.sample(active, rng.randrange(1, min(3, len(active)) + 1))
             assert dag.ordered_transactions(roots) == reference_order(dag, roots)
@@ -419,6 +471,12 @@ def test_vertex_id_is_hash_of_documented_encoding(n_txs, parents):
     txs = tuple(h32(f"encoded-{k}") for k in range(n_txs))
     name = "nöde-7".encode("utf-8")
     vertex = Vertex(parents=parents, attacher_id="nöde-7", round=9, tx_hashes=txs)
+    # a snapshot's shared payload brings its own encoding along
+    dag = Dag()
+    payload = dag.uncovered_hashes(dag.pending(txs), 0)
+    shared = Vertex(parents=parents, attacher_id="nöde-7", round=9, tx_hashes=payload)
+    assert shared.tx_hashes is payload and payload is not txs
+    assert shared.vertex_id == vertex.vertex_id
     encoding = [
         b"vertex",
         bytes([len(parents)]),
